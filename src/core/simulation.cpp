@@ -23,20 +23,22 @@ BipsSimulation::BipsSimulation(mobility::Building building,
                                SimulationConfig cfg)
     : cfg_(cfg),
       rng_(cfg.seed),
+      zone_rng_(rng_.fork()),
       building_(std::move(building)),
-      radio_(sim_, rng_,
+      radio_(sim_, zone_rng_,
              [&cfg] {
                baseband::ChannelConfig c = cfg.channel;
                c.default_range_m = cfg.coverage_radius_m;
                return c;
              }()),
-      lan_(sim_, rng_, cfg.lan) {
+      lan_(sim_, zone_rng_, cfg.lan) {
   server_ = std::make_unique<BipsServer>(sim_, lan_, building_, cfg_.server);
   stations_.reserve(building_.room_count());
   for (const mobility::Room& room : building_.rooms()) {
     auto ws = std::make_unique<BipsWorkstation>(
         sim_, radio_, lan_, server_->address(), room.id,
-        station_addr(room.id), rng_.fork(), room.center, cfg_.workstation);
+        station_addr(room.id), zone_rng_.fork(), room.center,
+        cfg_.workstation);
     ws->set_link_resolver([this](baseband::BdAddr a) -> baseband::SlaveLink* {
       const auto it = clients_by_addr_.find(a.raw());
       return it == clients_by_addr_.end() ? nullptr : &it->second->link();
@@ -65,9 +67,9 @@ void BipsSimulation::add_user(const std::string& name,
   ccfg.slave = cfg_.slave;
   u.client = std::make_unique<BipsClient>(sim_, radio_,
                                           handheld_addr(users_.size()),
-                                          rng_.fork(), std::move(ccfg));
+                                          zone_rng_.fork(), std::move(ccfg));
   u.agent = std::make_unique<mobility::RandomWaypointAgent>(
-      sim_, building_, server_->paths(), rng_.fork(), start_room,
+      sim_, building_, server_->paths(), zone_rng_.fork(), start_room,
       cfg_.mobility);
   // The handheld rides in its owner's pocket.
   mobility::RandomWaypointAgent* agent = u.agent.get();

@@ -156,7 +156,8 @@ class BipsSimulation {
 
   SimulationConfig cfg_;
   sim::Simulator sim_;
-  Rng rng_;
+  Rng rng_;  // master stream: registry salts only
+  Rng zone_rng_;  // rng_.fork(), exactly like the sharded stack's shard 0
   mobility::Building building_;
   baseband::RadioChannel radio_;
   net::Lan lan_;
