@@ -14,7 +14,7 @@
 // database, and the radio collision count.
 #include "bench/harness.hpp"
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::bench {
 namespace {
@@ -46,7 +46,8 @@ Outcome run_mode(bool staggered) {
     cfg.mobility.pause_min = Duration::seconds(100'000);
     cfg.mobility.pause_max = Duration::seconds(200'000);
 
-    core::BipsSimulation sim(std::move(b), cfg);
+    core::ShardedBipsSimulation sim(std::move(b),
+                                    core::ShardedConfig{.base = cfg});
     std::vector<std::string> ids;
     for (int i = 0; i < kUsers; ++i) {
       const std::string id = "u" + std::to_string(i);
@@ -55,13 +56,13 @@ Outcome run_mode(bool staggered) {
     }
     // Everyone stands in the middle of the overlap lens.
     for (const auto& id : ids) {
-      sim.client(id)->device().set_position_provider(
+      sim.active_client(id).device().set_position_provider(
           [] { return Vec2{4, 0}; });
     }
     sim.run_for(Duration::from_seconds(kHorizon));
 
     for (const auto& id : ids) {
-      const std::uint64_t addr = sim.client(id)->addr().raw();
+      const std::uint64_t addr = sim.active_client(id).addr().raw();
       double first = -1;
       for (const auto& t : sim.server().locations().history()) {
         if (t.bd_addr == addr && t.present) {
@@ -76,7 +77,7 @@ Outcome run_mode(bool staggered) {
       }
     }
     o.collisions.add(static_cast<double>(
-        sim.simulator().obs().metrics.counter_value("radio.collisions")));
+        sim.metric_sum("radio.collisions")));
   }
   return o;
 }

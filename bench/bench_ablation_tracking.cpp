@@ -8,7 +8,7 @@
 // presence-update traffic it costs.
 #include "bench/harness.hpp"
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::bench {
 namespace {
@@ -31,7 +31,8 @@ Outcome run_once(double inquiry_s, double cycle_s) {
   cfg.mobility.pause_min = Duration::seconds(15);
   cfg.mobility.pause_max = Duration::seconds(90);
 
-  core::BipsSimulation sim(mobility::Building::department(), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::department(),
+                                  core::ShardedConfig{.base = cfg});
   const char* names[] = {"Alice", "Bob", "Carol", "Dave", "Erin", "Frank"};
   for (int i = 0; i < kUsers; ++i) {
     sim.add_user(names[i], std::string("user") + std::to_string(i), "pw",
@@ -44,7 +45,7 @@ Outcome run_once(double inquiry_s, double cycle_s) {
   Outcome o;
   o.tracking = sim.tracking();
   o.presence_updates = sim.server().locations().stats().presence_updates;
-  o.logins = sim.simulator().obs().metrics.counter_value("server.logins_ok");
+  o.logins = sim.metric_sum("server.logins_ok");
   o.duty = inquiry_s / cycle_s;
   return o;
 }

@@ -15,7 +15,7 @@
 // never attached to anything.
 #include "bench/harness.hpp"
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::bench {
 namespace {
@@ -39,7 +39,8 @@ Outcome run_once(bool connect) {
   cfg.mobility.pause_min = Duration::seconds(15);
   cfg.mobility.pause_max = Duration::seconds(90);
 
-  core::BipsSimulation sim(mobility::Building::department(), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::department(),
+                                  core::ShardedConfig{.base = cfg});
   for (int i = 0; i < kUsers; ++i) {
     sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                  static_cast<mobility::RoomId>(
@@ -54,9 +55,9 @@ Outcome run_once(bool connect) {
   int sessions = 0;
   double duty = 0;
   for (int i = 0; i < kUsers; ++i) {
-    auto* c = sim.client("u" + std::to_string(i));
-    if (c->logged_in()) ++sessions;
-    duty += c->device().energy().duty(Duration::from_seconds(kSimSeconds));
+    auto& c = sim.active_client("u" + std::to_string(i));
+    if (c.logged_in()) ++sessions;
+    duty += c.device().energy().duty(Duration::from_seconds(kSimSeconds));
   }
   o.logged_in = static_cast<double>(sessions) / kUsers;
   o.handheld_duty = duty / kUsers;

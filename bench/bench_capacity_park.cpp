@@ -9,7 +9,7 @@
 // piconet membership looks like.
 #include "bench/harness.hpp"
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::bench {
 namespace {
@@ -29,7 +29,8 @@ Outcome run_once(int n_users) {
   cfg.mobility.pause_min = Duration::seconds(100'000);
   cfg.mobility.pause_max = Duration::seconds(200'000);
 
-  core::BipsSimulation sim(mobility::Building::corridor(1), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                                  core::ShardedConfig{.base = cfg});
   for (int i = 0; i < n_users; ++i) {
     sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                  0);
@@ -43,7 +44,7 @@ Outcome run_once(int n_users) {
     sim.run_for(Duration::seconds(1));
     int logged = 0;
     for (int i = 0; i < n_users; ++i) {
-      if (sim.client("u" + std::to_string(i))->logged_in()) {
+      if (sim.active_client("u" + std::to_string(i)).logged_in()) {
         ++logged;
         if (!counted[static_cast<std::size_t>(i)]) {
           counted[static_cast<std::size_t>(i)] = true;

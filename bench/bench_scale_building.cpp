@@ -17,9 +17,12 @@
 //                        [--energy-check] [--min-speedup X] [--reps N]
 //                        [--point RxCxUxS]
 //
-// --smoke runs the smallest configuration only (CI). --no-metrics runs with
-// the registry gated off (the "disabled path" whose cost must stay ~zero).
-// --trace streams the structured JSONL trace of the first sweep point.
+// Every point runs the paper's single zone on one worker unless the zone
+// modes below say otherwise. --smoke runs the smallest configuration only
+// (CI). --no-metrics runs with every shard's registry gated off (the
+// "disabled path" whose cost must stay ~zero). --trace streams the
+// structured JSONL trace of the first sweep point; it needs a one-shard
+// run outside --par-ab (exit 2 otherwise).
 // --ab runs every point twice -- registry disabled then enabled -- and
 // reports the enabled-path overhead; --max-overhead PCT makes the process
 // exit nonzero if any point's overhead exceeds PCT (the CI gate).
@@ -43,13 +46,11 @@
 // of completed intervals) and fails the process if the exact and
 // fast-forward totals differ by a nanosecond.
 //
-// Sharded-kernel modes (DESIGN.md section 9):
-//   --threads N   run every point on the sharded harness with N worker
-//                 threads (N >= 1; without this flag the monolithic
-//                 single-simulator harness runs, as before);
-//   --shards N    zone count for the sharded harness (default 4);
-//   --par-ab      run every point on the sharded harness twice -- 1 thread
-//                 then --threads N -- byte-diff the discovery histories,
+// Zone modes (DESIGN.md section 9):
+//   --threads N   run every point's zones on N worker threads (N >= 1);
+//   --shards N    zone count (default 1; 4 with --threads or --par-ab);
+//   --par-ab      run every point twice -- 1 thread then --threads N
+//                 (default 4) -- byte-diff the discovery histories,
 //                 the presence trace streams, the energy ledgers and the
 //                 Query-API answers (any difference fails the process:
 //                 thread count must not change one byte), plus a third pass
@@ -59,7 +60,7 @@
 //                 reports the wall-clock speedup; --min-speedup gates it.
 //   --faults      inject a seeded chaos fault schedule (station crashes,
 //                 a partition, a loss burst, one server crash/restart)
-//                 scaled to the point's sim length into every sharded run.
+//                 scaled to the point's sim length into every run.
 //                 With --par-ab this makes the byte-diff subjects -- the
 //                 history, presence stream and Query answers -- cover the
 //                 fault taxonomy's shard-local and barrier classes too.
@@ -98,8 +99,8 @@ struct Result {
   SweepPoint p;
   bool metrics_on = true;
   bool exact_slots = false;
-  bool sharded = false;
-  int threads = 1;  // worker threads (always 1 on the monolithic harness)
+  std::size_t shards = 1;
+  int threads = 1;  // worker threads
   std::uint64_t events = 0;
   std::uint64_t skipped = 0;  // kernel.skipped_slots (0 under --exact-slots)
   std::uint64_t elided_polls = 0;  // piconet.elided_polls (supervised quiesce)
@@ -130,97 +131,6 @@ struct EnergyTotals {
     return tx_ns == o.tx_ns && listen_ns == o.listen_ns;
   }
 };
-
-Result run_point(const SweepPoint& p, bool metrics_on,
-                 const std::string& trace_path, bool exact_slots,
-                 std::string* history_out = nullptr,
-                 EnergyTotals* energy_out = nullptr) {
-  core::SimulationConfig cfg;
-  cfg.seed = 0x5CA1E'0000ull + static_cast<std::uint64_t>(p.rows * p.cols);
-  cfg.stagger_inquiry = true;
-  cfg.channel.exact_slots = exact_slots;
-  // The Figure 2 cadence: short cycles keep every master inquiring often,
-  // which is the radio-heavy regime the bench is meant to stress.
-  cfg.workstation.scheduler.inquiry_length = Duration::from_seconds(1.28);
-  cfg.workstation.scheduler.cycle_length = Duration::from_seconds(5.12);
-
-  core::BipsSimulation sim(mobility::Building::grid(p.rows, p.cols), cfg);
-  sim.simulator().obs().metrics.set_enabled(metrics_on);
-
-  std::ofstream trace_os;
-  std::unique_ptr<obs::JsonlSink> trace_sink;
-  if (!trace_path.empty()) {
-    trace_os.open(trace_path);
-    trace_sink = std::make_unique<obs::JsonlSink>(trace_os);
-    sim.simulator().obs().tracer.set_sink(trace_sink.get());
-  }
-
-  const int rooms = p.rows * p.cols;
-  for (int i = 0; i < p.users; ++i) {
-    sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
-                 static_cast<mobility::RoomId>(i % rooms));
-  }
-  sim.start();
-
-  const double c0 = process_cpu_seconds();
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.run_for(Duration::from_seconds(p.sim_seconds));
-  const auto t1 = std::chrono::steady_clock::now();
-  const double c1 = process_cpu_seconds();
-
-  if (trace_sink) {
-    sim.simulator().obs().tracer.set_sink(nullptr);
-    trace_sink->flush();
-  }
-
-  if (energy_out != nullptr) {
-    // Probe off the 312.5 us slot lattice: integer-second instants land on
-    // every device's slot grid, where exact mode has events due exactly
-    // "now" that the in-event FIFO convention counts as not-yet-fired.
-    // Nudging past the end keeps the two modes' completed-interval sets
-    // identical. A stats() read settles each master's lazily-credited park
-    // energy into its device meter before we sum.
-    sim.run_for(Duration::nanos(100));
-    for (std::size_t s = 0; s < sim.workstation_count(); ++s) {
-      auto& ws = sim.workstation(static_cast<core::StationId>(s));
-      ws.scheduler().inquirer().stats();
-      ws.scheduler().pager().stats();
-      ws.scheduler().piconet().stats();
-      energy_out->tx_ns += ws.device().energy().tx_time.ns();
-      energy_out->listen_ns += ws.device().energy().listen_time.ns();
-    }
-  }
-
-  Result r;
-  r.p = p;
-  r.metrics_on = metrics_on;
-  r.exact_slots = exact_slots;
-  r.events = sim.simulator().events_executed();
-  // The traffic counters now come off the registry snapshot -- with the
-  // registry gated off they read zero, which is exactly the disabled path
-  // the A/B mode measures.
-  const auto& m = sim.simulator().obs().metrics;
-  r.skipped = m.counter_value("kernel.skipped_slots");
-  r.elided_polls = m.counter_value("piconet.elided_polls");
-  r.transmissions = m.counter_value("radio.transmissions");
-  r.deliveries = m.counter_value("radio.deliveries");
-  r.discoveries = m.counter_value("ws.discoveries");
-  r.cpu_s = c1 - c0;
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events_per_sec = r.cpu_s > 0 ? static_cast<double>(r.events) / r.cpu_s : 0;
-  // Retired-equivalent throughput: every slot the fast-forward path elides
-  // is a slot the exact drum would have paid kernel events for, so the fair
-  // cross-mode unit is executed events plus skipped slots.
-  r.retired_per_sec =
-      r.cpu_s > 0 ? static_cast<double>(r.events + r.skipped) / r.cpu_s : 0;
-  r.sim_ratio = r.cpu_s > 0 ? p.sim_seconds / r.cpu_s : 0;
-  if (history_out != nullptr) {
-    std::ostringstream hist;
-    sim.write_history_csv(hist);
-    *history_out = hist.str();
-  }
-  return r;
-}
 
 /// Canonical dump of the unified Query API's answers after a run: where-is
 /// and history-since for every user, who-is-in for every room, where-was at
@@ -257,41 +167,60 @@ std::string dump_queries(core::ShardedBipsSimulation& sim, int users,
   return os.str();
 }
 
-/// One sweep point on the sharded harness (DESIGN.md section 9): the same
-/// deployment cut into `shards` zones and run on `threads` workers. The
-/// captured history, presence stream, energy totals and query answers are
-/// the --par-ab equivalence subjects: every one of them must be
-/// byte-identical across thread counts. `service_zones` overrides the
-/// location-service shard count (0 = aligned with the simulator zones).
-Result run_point_sharded(const SweepPoint& p, int threads,
-                         std::size_t shards, bool exact_slots,
-                         std::string* history_out = nullptr,
-                         std::string* presence_out = nullptr,
-                         EnergyTotals* energy_out = nullptr,
-                         std::string* queries_out = nullptr,
-                         std::size_t service_zones = 0,
-                         bool faults = false) {
+/// How to run one sweep point, and which equivalence subjects to capture
+/// (a null capture is skipped).
+struct Run {
+  int threads = 1;
+  std::size_t shards = 1;
+  /// Location-service shard count (0 = aligned with the simulator zones).
+  std::size_t service_zones = 0;
+  bool metrics = true;
+  bool exact_slots = false;
+  bool faults = false;
+  std::string trace_path;  // one-shard runs only (shard 0's tracer)
+  std::string* history = nullptr;
+  std::string* presence = nullptr;
+  EnergyTotals* energy = nullptr;
+  std::string* queries = nullptr;
+};
+
+/// One sweep point: the deployment cut into `run.shards` zones (DESIGN.md
+/// section 9) and run on `run.threads` workers. The captured history,
+/// presence stream, energy totals and query answers are the --par-ab and
+/// --ff-ab equivalence subjects: every one of them must be byte-identical
+/// across thread counts (and the history and energy across slot modes).
+Result run_point(const SweepPoint& p, const Run& run) {
   core::ShardedConfig scfg;
   scfg.base.seed = 0x5CA1E'0000ull + static_cast<std::uint64_t>(p.rows * p.cols);
   scfg.base.stagger_inquiry = true;
-  scfg.base.channel.exact_slots = exact_slots;
+  scfg.base.channel.exact_slots = run.exact_slots;
+  // The Figure 2 cadence: short cycles keep every master inquiring often,
+  // which is the radio-heavy regime the bench is meant to stress.
   scfg.base.workstation.scheduler.inquiry_length = Duration::from_seconds(1.28);
   scfg.base.workstation.scheduler.cycle_length = Duration::from_seconds(5.12);
   // The fault drill needs the failure detector armed: expirations and the
   // zone agents' dedup resets are part of what the byte-diff must cover.
-  if (faults) scfg.base.server.station_timeout = Duration::seconds(10);
-  scfg.shards = shards;
-  scfg.service_zones = service_zones;
+  if (run.faults) scfg.base.server.station_timeout = Duration::seconds(10);
+  scfg.shards = run.shards;
+  scfg.service_zones = run.service_zones;
 
   core::ShardedBipsSimulation sim(mobility::Building::grid(p.rows, p.cols),
                                   scfg);
+  sim.set_metrics_enabled(run.metrics);
 
+  std::ofstream trace_os;
+  std::unique_ptr<obs::JsonlSink> trace_sink;
+  if (!run.trace_path.empty()) {
+    trace_os.open(run.trace_path);
+    trace_sink = std::make_unique<obs::JsonlSink>(trace_os);
+    sim.shard_simulator(0).obs().tracer.set_sink(trace_sink.get());
+  }
   // Presence capture: one sink per shard (each written only by its own
   // worker), concatenated in shard order after the run -- a deterministic
   // canonical stream for the byte-diff.
   std::vector<std::ostringstream> pstreams;
   std::vector<std::unique_ptr<obs::JsonlSink>> psinks;
-  if (presence_out != nullptr) {
+  if (run.presence != nullptr) {
     pstreams.resize(sim.shard_count());
     for (std::size_t k = 0; k < sim.shard_count(); ++k) {
       psinks.push_back(std::make_unique<obs::JsonlSink>(pstreams[k]));
@@ -305,7 +234,7 @@ Result run_point_sharded(const SweepPoint& p, int threads,
                  static_cast<mobility::RoomId>(i % rooms));
   }
 
-  if (faults) {
+  if (run.faults) {
     // Seeded chaos scaled to the point's horizon: boot for the first fifth,
     // inject across the middle three fifths, heal before the end. Short
     // outages keep the drill dense even on 10 s smoke points.
@@ -320,35 +249,43 @@ Result run_point_sharded(const SweepPoint& p, int threads,
   }
   sim.start();
 
+  const auto threads = static_cast<unsigned>(run.threads);
   const double c0 = process_cpu_seconds();
   const auto t0 = std::chrono::steady_clock::now();
-  sim.run_for(Duration::from_seconds(p.sim_seconds),
-              static_cast<unsigned>(threads));
+  sim.run_for(Duration::from_seconds(p.sim_seconds), threads);
   const auto t1 = std::chrono::steady_clock::now();
   const double c1 = process_cpu_seconds();
 
-  if (queries_out != nullptr) {
-    // Probe the Query API before the energy nudge so the answers are taken
-    // at the same instant whether or not energy capture is on.
-    *queries_out = dump_queries(sim, p.users, p.sim_seconds);
+  if (trace_sink) {
+    sim.shard_simulator(0).obs().tracer.set_sink(nullptr);
+    trace_sink->flush();
   }
 
-  if (energy_out != nullptr) {
-    // Same probe convention as the monolithic path: nudge past the slot
-    // lattice, settle the lazily-credited park energy, sum in station-id
-    // order.
-    sim.run_for(Duration::nanos(100), static_cast<unsigned>(threads));
+  if (run.queries != nullptr) {
+    // Probe the Query API before the energy nudge so the answers are taken
+    // at the same instant whether or not energy capture is on.
+    *run.queries = dump_queries(sim, p.users, p.sim_seconds);
+  }
+
+  if (run.energy != nullptr) {
+    // Probe off the 312.5 us slot lattice: integer-second instants land on
+    // every device's slot grid, where exact mode has events due exactly
+    // "now" that the in-event FIFO convention counts as not-yet-fired.
+    // Nudging past the end keeps the two modes' completed-interval sets
+    // identical. A stats() read settles each master's lazily-credited park
+    // energy into its device meter before we sum, in station-id order.
+    sim.run_for(Duration::nanos(100), threads);
     for (std::size_t s = 0; s < sim.workstation_count(); ++s) {
       auto& ws = sim.workstation(static_cast<core::StationId>(s));
       ws.scheduler().inquirer().stats();
       ws.scheduler().pager().stats();
       ws.scheduler().piconet().stats();
-      energy_out->tx_ns += ws.device().energy().tx_time.ns();
-      energy_out->listen_ns += ws.device().energy().listen_time.ns();
+      run.energy->tx_ns += ws.device().energy().tx_time.ns();
+      run.energy->listen_ns += ws.device().energy().listen_time.ns();
     }
   }
 
-  if (presence_out != nullptr) {
+  if (run.presence != nullptr) {
     std::string stream;
     for (std::size_t k = 0; k < sim.shard_count(); ++k) {
       sim.shard_simulator(k).obs().tracer.set_sink(nullptr);
@@ -364,16 +301,19 @@ Result run_point_sharded(const SweepPoint& p, int threads,
         }
       }
     }
-    *presence_out = std::move(stream);
+    *run.presence = std::move(stream);
   }
 
   Result r;
   r.p = p;
-  r.metrics_on = true;
-  r.exact_slots = exact_slots;
-  r.sharded = true;
-  r.threads = threads;
+  r.metrics_on = run.metrics;
+  r.exact_slots = run.exact_slots;
+  r.shards = sim.shard_count();
+  r.threads = run.threads;
   r.events = sim.group().events_executed();
+  // The traffic counters come off the registry snapshots -- with the
+  // registries gated off they read zero, which is exactly the disabled path
+  // the A/B mode measures.
   r.skipped = sim.metric_sum("kernel.skipped_slots");
   r.elided_polls = sim.metric_sum("piconet.elided_polls");
   r.transmissions = sim.metric_sum("radio.transmissions");
@@ -381,14 +321,21 @@ Result run_point_sharded(const SweepPoint& p, int threads,
   r.discoveries = sim.metric_sum("ws.discoveries");
   r.cpu_s = c1 - c0;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events_per_sec = r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
+  // A sequential run is timed in process CPU time (robust on a shared
+  // machine); parallel workers burn CPU concurrently, so a multi-worker
+  // run is timed on the wall clock.
+  const double t = run.threads > 1 && r.shards > 1 ? r.wall_s : r.cpu_s;
+  r.events_per_sec = t > 0 ? static_cast<double>(r.events) / t : 0;
+  // Retired-equivalent throughput: every slot the fast-forward path elides
+  // is a slot the exact drum would have paid kernel events for, so the fair
+  // cross-mode unit is executed events plus skipped slots.
   r.retired_per_sec =
-      r.wall_s > 0 ? static_cast<double>(r.events + r.skipped) / r.wall_s : 0;
-  r.sim_ratio = r.wall_s > 0 ? p.sim_seconds / r.wall_s : 0;
-  if (history_out != nullptr) {
+      t > 0 ? static_cast<double>(r.events + r.skipped) / t : 0;
+  r.sim_ratio = t > 0 ? p.sim_seconds / t : 0;
+  if (run.history != nullptr) {
     std::ostringstream hist;
     sim.write_history_csv(hist);
-    *history_out = hist.str();
+    *run.history = hist.str();
   }
   return r;
 }
@@ -426,7 +373,7 @@ std::string render_row(const Result& r, const std::string& commit,
       "\"overhead_pct\": %.2f, \"speedup\": %.2f}%s\n",
       r.p.rows * r.p.cols, r.p.users, r.p.sim_seconds,
       r.metrics_on ? "true" : "false", r.exact_slots ? "true" : "false",
-      r.sharded ? r.threads : 1, commit.c_str(),
+      r.threads, commit.c_str(),
       static_cast<unsigned long long>(r.events),
       static_cast<unsigned long long>(r.skipped),
       static_cast<unsigned long long>(r.elided_polls),
@@ -499,12 +446,12 @@ struct Options {
   bool ab = false;
   bool exact_slots = false;
   bool ffab = false;
-  bool parab = false;         // sharded 1-thread vs N-thread byte equivalence
+  bool parab = false;         // 1-thread vs N-thread byte equivalence
   bool append = false;        // extend the report instead of overwriting
   bool energy_check = false;  // --ff-ab: also byte-diff the energy ledgers
-  bool faults = false;        // sharded runs: inject a seeded chaos plan
-  int threads = 0;           // >0: run the sharded harness with N workers
-  int shards = 4;            // sharded harness zone count
+  bool faults = false;        // inject a seeded chaos plan
+  int threads = 0;  // worker threads; 0 = 4 under --par-ab, else 1
+  int shards = 0;   // zone count; 0 = 4 with --threads or --par-ab, else 1
   int reps = 1;              // --ff-ab / --par-ab: best-of-N passes per mode
   double max_overhead = -1;  // <0: no gate
   double min_speedup = -1;   // <0: no gate
@@ -535,7 +482,7 @@ int run(const Options& opt) {
   TableWriter table({"rooms", "users", "sim s", "mode", "obs", "events",
                      "skipped", "cpu s", "retired/s", "sim x realtime"});
   auto add_row = [&table](const Result& r) {
-    const std::string mode = r.sharded
+    const std::string mode = r.shards > 1
                                  ? "par" + std::to_string(r.threads)
                                  : (r.exact_slots ? "exact" : "ff");
     table.add_row({std::to_string(r.p.rows * r.p.cols),
@@ -557,38 +504,47 @@ int run(const Options& opt) {
     const SweepPoint& p = sweep[i];
     // The trace (if requested) rides the first point's enabled run.
     const std::string trace = i == 0 ? opt.trace_path : std::string();
+    // Every mode starts from the same run: zones, workers, faults, slot
+    // mode and registry gate as requested.
+    Run base;
+    base.threads = opt.threads;
+    base.shards = static_cast<std::size_t>(opt.shards);
+    base.metrics = opt.metrics;
+    base.exact_slots = opt.exact_slots;
+    base.faults = opt.faults;
     if (opt.parab) {
-      // Sharded-kernel thread-count equivalence: the 1-thread sequential
-      // reference vs N workers, identical shard layout. Histories, presence
-      // streams, energy ledgers and Query-API answers must match byte for
-      // byte; wall-clock (not CPU time: workers burn CPU in parallel) gives
-      // the speedup. A third pass pins the location service to ONE shard
+      // Thread-count equivalence: the 1-thread sequential reference vs N
+      // workers, identical shard layout. Histories, presence streams,
+      // energy ledgers and Query-API answers must match byte for byte;
+      // wall-clock (not CPU time: workers burn CPU in parallel) gives the
+      // speedup. A third pass pins the location service to ONE shard
       // (service_zones=1, the single-database reference) and byte-diffs its
       // query answers too: partitioning the service must not change an
       // answer any more than the thread count does.
-      const int nthreads = opt.threads > 0 ? opt.threads : 4;
-      const std::size_t shards = static_cast<std::size_t>(opt.shards);
+      Run one = base;
+      one.threads = 1;
       std::string hist1, histn, pres1, presn, q1, qn, qsingle;
       EnergyTotals energy1, energyn;
-      Result r1 = run_point_sharded(p, 1, shards, opt.exact_slots, &hist1,
-                                    &pres1, &energy1, &q1,
-                                    /*service_zones=*/0, opt.faults);
-      Result rn = run_point_sharded(p, nthreads, shards, opt.exact_slots,
-                                    &histn, &presn, &energyn, &qn,
-                                    /*service_zones=*/0, opt.faults);
-      run_point_sharded(p, nthreads, shards, opt.exact_slots, nullptr,
-                        nullptr, nullptr, &qsingle, /*service_zones=*/1,
-                        opt.faults);
+      Run cap1 = one;
+      cap1.history = &hist1;
+      cap1.presence = &pres1;
+      cap1.energy = &energy1;
+      cap1.queries = &q1;
+      Run capn = base;
+      capn.history = &histn;
+      capn.presence = &presn;
+      capn.energy = &energyn;
+      capn.queries = &qn;
+      Run single_db = base;
+      single_db.service_zones = 1;
+      single_db.queries = &qsingle;
+      Result r1 = run_point(p, cap1);
+      Result rn = run_point(p, capn);
+      run_point(p, single_db);
       for (int rep = 1; rep < opt.reps; ++rep) {
-        const Result a =
-            run_point_sharded(p, 1, shards, opt.exact_slots, nullptr, nullptr,
-                              nullptr, nullptr, /*service_zones=*/0,
-                              opt.faults);
+        const Result a = run_point(p, one);
         if (a.wall_s < r1.wall_s) r1 = a;
-        const Result b =
-            run_point_sharded(p, nthreads, shards, opt.exact_slots, nullptr,
-                              nullptr, nullptr, nullptr, /*service_zones=*/0,
-                              opt.faults);
+        const Result b = run_point(p, base);
         if (b.wall_s < rn.wall_s) rn = b;
       }
       const bool hist_ok = hist1 == histn;
@@ -609,27 +565,11 @@ int run(const Options& opt) {
       std::printf("done: %d rooms / %d users -> 1 thread %.2f s wall, "
                   "%d threads %.2f s wall (%.2fx; history %s, presence %s, "
                   "energy %s, queries %s)\n",
-                  p.rows * p.cols, p.users, r1.wall_s, nthreads, rn.wall_s,
+                  p.rows * p.cols, p.users, r1.wall_s, opt.threads, rn.wall_s,
                   rn.speedup, hist_ok ? "identical" : "DIFFERS",
                   pres_ok ? "identical" : "DIFFERS",
                   energy_ok ? "identical" : "DIFFERS",
                   query_ok ? "identical" : "DIFFERS");
-    } else if (opt.threads > 0) {
-      // Plain sharded run at a fixed worker count (the BENCH_scale sweep
-      // rows; the equivalence gate lives in --par-ab).
-      std::string* hist =
-          i == 0 && !opt.history_path.empty() ? &first_history : nullptr;
-      const Result r =
-          run_point_sharded(p, opt.threads,
-                            static_cast<std::size_t>(opt.shards),
-                            opt.exact_slots, hist, nullptr, nullptr, nullptr,
-                            /*service_zones=*/0, opt.faults);
-      results.push_back(r);
-      add_row(r);
-      std::printf("done: %d rooms / %d users -> %.0f events/s wall "
-                  "(%d threads, %.2f s wall, %.2f s cpu)\n",
-                  p.rows * p.cols, p.users, r.events_per_sec, r.threads,
-                  r.wall_s, r.cpu_s);
     } else if (opt.ffab) {
       // Exact-vs-virtual equivalence and speedup: one history-capturing
       // pass per mode (the sim is deterministic, so one capture suffices),
@@ -638,14 +578,23 @@ int run(const Options& opt) {
       // figure.
       std::string hist_exact, hist_ff;
       EnergyTotals energy_exact, energy_ff;
-      EnergyTotals* e_ex = opt.energy_check ? &energy_exact : nullptr;
-      EnergyTotals* e_ff = opt.energy_check ? &energy_ff : nullptr;
-      Result ex = run_point(p, true, "", true, &hist_exact, e_ex);
-      Result ff = run_point(p, true, trace, false, &hist_ff, e_ff);
+      Run exact = base;
+      exact.exact_slots = true;
+      Run fast = base;
+      fast.exact_slots = false;
+      Run cap_ex = exact;
+      cap_ex.history = &hist_exact;
+      cap_ex.energy = opt.energy_check ? &energy_exact : nullptr;
+      Run cap_ff = fast;
+      cap_ff.trace_path = trace;
+      cap_ff.history = &hist_ff;
+      cap_ff.energy = opt.energy_check ? &energy_ff : nullptr;
+      Result ex = run_point(p, cap_ex);
+      Result ff = run_point(p, cap_ff);
       for (int rep = 1; rep < opt.reps; ++rep) {
-        const Result ex2 = run_point(p, true, "", true);
+        const Result ex2 = run_point(p, exact);
         if (ex2.retired_per_sec > ex.retired_per_sec) ex = ex2;
-        const Result ff2 = run_point(p, true, "", false);
+        const Result ff2 = run_point(p, fast);
         if (ff2.retired_per_sec > ff.retired_per_sec) ff = ff2;
       }
       const bool identical = hist_exact == hist_ff;
@@ -682,13 +631,19 @@ int run(const Options& opt) {
       // points run in milliseconds, where scheduler noise dwarfs the
       // instrumentation cost the gate below is after. Noise only ever makes
       // a run slower, so the per-mode max converges on the true throughput.
-      Result off = run_point(p, false, "", opt.exact_slots);
-      Result on = run_point(p, true, trace, opt.exact_slots);
+      Run disabled = base;
+      disabled.metrics = false;
+      Run enabled = base;
+      enabled.metrics = true;
+      Run traced = enabled;
+      traced.trace_path = trace;
+      Result off = run_point(p, disabled);
+      Result on = run_point(p, traced);
       double cpu_spent = off.cpu_s + on.cpu_s;
       for (int rep = 1; rep < 25 && (rep < 3 || cpu_spent < 0.5); ++rep) {
-        const Result off2 = run_point(p, false, "", opt.exact_slots);
+        const Result off2 = run_point(p, disabled);
         if (off2.events_per_sec > off.events_per_sec) off = off2;
-        const Result on2 = run_point(p, true, "", opt.exact_slots);
+        const Result on2 = run_point(p, enabled);
         if (on2.events_per_sec > on.events_per_sec) on = on2;
         cpu_spent += off2.cpu_s + on2.cpu_s;
       }
@@ -706,13 +661,16 @@ int run(const Options& opt) {
                   p.rows * p.cols, p.users, off.events_per_sec,
                   on.events_per_sec, on.overhead_pct);
     } else {
-      std::string* hist =
-          i == 0 && !opt.history_path.empty() ? &first_history : nullptr;
-      const Result r = run_point(p, opt.metrics, trace, opt.exact_slots, hist);
+      Run plain = base;
+      plain.trace_path = trace;
+      if (i == 0 && !opt.history_path.empty()) plain.history = &first_history;
+      const Result r = run_point(p, plain);
       results.push_back(r);
       add_row(r);
-      std::printf("done: %d rooms / %d users -> %.0f events/s (%.2f s cpu)\n",
-                  p.rows * p.cols, p.users, r.events_per_sec, r.cpu_s);
+      std::printf("done: %d rooms / %d users -> %.0f events/s (%d threads, "
+                  "%.2f s wall, %.2f s cpu)\n",
+                  p.rows * p.cols, p.users, r.events_per_sec, r.threads,
+                  r.wall_s, r.cpu_s);
     }
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -873,6 +831,16 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
+  }
+  // --threads and --par-ab cut the building into four zones by default (and
+  // --par-ab runs four workers); every other run is the paper's single zone
+  // on one worker.
+  if (opt.shards == 0) opt.shards = opt.threads > 0 || opt.parab ? 4 : 1;
+  if (opt.threads == 0) opt.threads = opt.parab ? 4 : 1;
+  if (!opt.trace_path.empty() && (opt.shards > 1 || opt.parab)) {
+    std::fprintf(stderr, "--trace needs a one-shard run outside --par-ab "
+                         "(per-shard trace streams are not merged yet)\n");
+    return 2;
   }
   return bips::bench::run(opt);
 }

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::bench {
 namespace {
@@ -58,7 +58,8 @@ Outcome run_once(bool busy, double sim_seconds, int watchers) {
     cfg.mobility.pause_max = Duration::seconds(200000);
   }
 
-  core::BipsSimulation sim(mobility::Building::grid(4, 4), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::grid(4, 4),
+                                  core::ShardedConfig{.base = cfg});
   for (int i = 0; i < kUsers; ++i) {
     sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                  static_cast<mobility::RoomId>(i % 16));

@@ -15,7 +15,7 @@
 //   $ ./building_tracking
 #include <cstdio>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 #include "src/mobility/render.hpp"
 
 using namespace bips;
@@ -29,7 +29,8 @@ int main() {
   cfg.mobility.pause_min = Duration::seconds(20);
   cfg.mobility.pause_max = Duration::seconds(120);
 
-  core::BipsSimulation sim(mobility::Building::department(), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::department(),
+                                  core::ShardedConfig{.base = cfg});
   const struct {
     const char* name;
     const char* userid;
@@ -67,7 +68,7 @@ int main() {
   std::vector<mobility::Marker> markers;
   char glyph = 'a';
   for (const auto& u : users) {
-    markers.push_back({glyph++, sim.agent(u.userid)->position()});
+    markers.push_back({glyph++, sim.active_agent(u.userid).position()});
   }
   mobility::RenderOptions ropts;
   ropts.meters_per_cell = 1.5;

@@ -13,26 +13,25 @@
 //   $ ./fault_drill
 #include <cstdio>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 using namespace bips;
 
 namespace {
 
-void report(core::BipsSimulation& sim, const char* label) {
+void report(core::ShardedBipsSimulation& sim, const char* label) {
   int logged = 0, connected = 0, located = 0;
   for (int i = 0; i < 4; ++i) {
     const std::string id = "u" + std::to_string(i);
-    if (sim.client(id)->logged_in()) ++logged;
-    if (sim.client(id)->connected()) ++connected;
+    if (sim.active_client(id).logged_in()) ++logged;
+    if (sim.active_client(id).connected()) ++connected;
     if (sim.db_room(id)) ++located;
   }
   std::printf("%-28s logged_in=%d/4 connected=%d/4 located=%d/4 "
               "stations_expired=%llu\n",
               label, logged, connected, located,
               static_cast<unsigned long long>(
-                  sim.simulator().obs().metrics.counter_value(
-                      "server.stations_expired")));
+                  sim.metric_sum("server.stations_expired")));
 }
 
 }  // namespace
@@ -47,7 +46,8 @@ int main() {
   cfg.mobility.pause_min = Duration::seconds(10'000);
   cfg.mobility.pause_max = Duration::seconds(20'000);
 
-  core::BipsSimulation sim(mobility::Building::department(), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::department(),
+                                  core::ShardedConfig{.base = cfg});
   const auto seminar = *sim.building().find("seminar-room");
   // Four attendees sit in the seminar room.
   for (int i = 0; i < 4; ++i) {
@@ -75,12 +75,11 @@ int main() {
       "\nepoch=%u  snapshots_received=%llu  presences_restored=%llu  "
       "sessions_restored=%llu\n",
       sim.server().epoch(),
+      static_cast<unsigned long long>(sim.metric_sum("server.syncs_received")),
       static_cast<unsigned long long>(
-          sim.simulator().obs().metrics.counter_value("server.syncs_received")),
-      static_cast<unsigned long long>(sim.simulator().obs().metrics.counter_value(
-          "server.presences_restored")),
-      static_cast<unsigned long long>(sim.simulator().obs().metrics.counter_value(
-          "server.sessions_restored")));
+          sim.metric_sum("server.presences_restored")),
+      static_cast<unsigned long long>(
+          sim.metric_sum("server.sessions_restored")));
   std::printf(
       "\nnote: the server forgot the sessions, but the workstations'\n"
       "snapshots carried their witnessed userid<->device bindings, so the\n"

@@ -7,7 +7,7 @@
 //   $ ./find_colleague
 #include <cstdio>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 using namespace bips;
 
@@ -38,26 +38,28 @@ int main() {
   cfg.mobility.pause_min = Duration::seconds(10'000);  // scripted movement
   cfg.mobility.pause_max = Duration::seconds(20'000);
 
-  core::BipsSimulation sim(mobility::Building::department(), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::department(),
+                                  core::ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw-a", *sim.building().find("lobby"));
   sim.add_user("Bob", "bob", "pw-b", *sim.building().find("seminar-room"));
+  core::BipsClient& alice = sim.active_client("alice");
+  core::BipsClient& bob = sim.active_client("bob");
 
   // Bob's handheld position is scripted so the story is deterministic.
   Vec2 bob_pos = sim.building().room(*sim.building().find("seminar-room")).center;
-  sim.client("bob")->device().set_position_provider([&] { return bob_pos; });
+  bob.device().set_position_provider([&] { return bob_pos; });
 
   std::printf("enrolling both handhelds...\n");
   sim.run_for(Duration::seconds(60));
-  std::printf("  alice: connected=%d logged_in=%d\n",
-              sim.client("alice")->connected(),
-              sim.client("alice")->logged_in());
+  std::printf("  alice: connected=%d logged_in=%d\n", alice.connected(),
+              alice.logged_in());
   std::printf("  bob:   connected=%d logged_in=%d\n\n",
-              sim.client("bob")->connected(), sim.client("bob")->logged_in());
+              bob.connected(), bob.logged_in());
 
   // Alice asks her handheld for the way to Bob.
   std::printf("alice (in the lobby) searches for Bob:\n");
   bool done = false;
-  sim.client("alice")->find_path_to("Bob", [&](const proto::PathReply& r) {
+  alice.find_path_to("Bob", [&](const proto::PathReply& r) {
     render_handheld(r);
     done = true;
   });
@@ -72,7 +74,7 @@ int main() {
 
   std::printf("alice asks again:\n");
   done = false;
-  sim.client("alice")->find_path_to("Bob", [&](const proto::PathReply& r) {
+  alice.find_path_to("Bob", [&](const proto::PathReply& r) {
     render_handheld(r);
     done = true;
   });
@@ -82,13 +84,13 @@ int main() {
   // And the failure modes a real user would see:
   std::printf("\nalice searches for someone who never logged in:\n");
   sim.server().registry().register_user("carol", "Carol", "pw-c", 3);
-  sim.client("alice")->find_path_to("Carol", [&](const proto::PathReply& r) {
+  alice.find_path_to("Carol", [&](const proto::PathReply& r) {
     render_handheld(r);
   });
   sim.run_for(Duration::seconds(2));
 
   std::printf("\nalice searches for an unknown name:\n");
-  sim.client("alice")->find_path_to("Mallory", [&](const proto::PathReply& r) {
+  alice.find_path_to("Mallory", [&](const proto::PathReply& r) {
     render_handheld(r);
   });
   sim.run_for(Duration::seconds(2));

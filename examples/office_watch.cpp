@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 using namespace bips;
 
@@ -22,20 +22,23 @@ int main() {
   cfg.mobility.pause_min = Duration::seconds(10'000);  // scripted movement
   cfg.mobility.pause_max = Duration::seconds(20'000);
 
-  core::BipsSimulation sim(mobility::Building::department(), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::department(),
+                                  core::ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw-a", *sim.building().find("office-a"));
   sim.add_user("Bob", "bob", "pw-b", *sim.building().find("lobby"));
   sim.add_user("Carol", "carol", "pw-c", *sim.building().find("lobby"));
+  core::BipsClient& alice = sim.active_client("alice");
 
   Vec2 bob_pos = sim.building().room(*sim.building().find("lobby")).center;
-  sim.client("bob")->device().set_position_provider([&] { return bob_pos; });
+  sim.active_client("bob").device().set_position_provider(
+      [&] { return bob_pos; });
 
   std::printf("enrolling the floor...\n");
   sim.run_for(Duration::seconds(60));
 
   // Alice watches Bob.
   std::printf("\nalice subscribes to Bob's movements:\n");
-  sim.client("alice")->subscribe(
+  alice.subscribe(
       "Bob",
       [&](const proto::MovementEvent& ev) {
         std::printf("  [%7.2f s] notification: Bob %s %s\n",
@@ -47,7 +50,7 @@ int main() {
       });
   sim.run_for(Duration::seconds(2));
 
-  const SimTime before_move = sim.simulator().now();
+  const SimTime before_move = sim.shard_simulator(0).now();
 
   // Bob does a coffee run: lobby -> admin-office -> lobby.
   std::printf("\nBob wanders to the admin office and back...\n");
@@ -58,7 +61,7 @@ int main() {
 
   // Who shares the lobby with Bob right now?
   std::printf("\nalice asks who is in the lobby:\n");
-  sim.client("alice")->who_is_in("lobby", [](const proto::WhoIsInReply& r) {
+  alice.who_is_in("lobby", [](const proto::WhoIsInReply& r) {
     std::printf("  lobby occupants (%s):", proto::to_string(r.status));
     for (const auto& u : r.users) std::printf(" %s", u.c_str());
     std::printf("\n");
@@ -68,7 +71,7 @@ int main() {
   // And the temporal query: where was Bob before his walk?
   std::printf("\nalice asks where Bob was at t=%.0f s:\n",
               before_move.to_seconds());
-  sim.client("alice")->where_was(
+  alice.where_was(
       "Bob", before_move, [&](const proto::HistoryReply& r) {
         if (r.was_present) {
           std::printf("  Bob was in %s (since %.2f s)\n", r.room.c_str(),
@@ -83,7 +86,7 @@ int main() {
   // Privacy: Carol opts out of being located; she vanishes from queries.
   std::printf("\ncarol opts out of location queries; alice asks again:\n");
   sim.server().registry().set_locatable_by_anyone("carol", false);
-  sim.client("alice")->who_is_in("lobby", [](const proto::WhoIsInReply& r) {
+  alice.who_is_in("lobby", [](const proto::WhoIsInReply& r) {
     std::printf("  lobby occupants (%s):", proto::to_string(r.status));
     for (const auto& u : r.users) std::printf(" %s", u.c_str());
     std::printf("\n");

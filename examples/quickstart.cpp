@@ -8,7 +8,7 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 using namespace bips;
 
@@ -26,7 +26,8 @@ int main() {
   cfg.mobility.pause_min = Duration::seconds(1'000);  // stay put for the demo
   cfg.mobility.pause_max = Duration::seconds(2'000);
 
-  core::BipsSimulation sim(std::move(building), cfg);
+  core::ShardedBipsSimulation sim(std::move(building),
+                                  core::ShardedConfig{.base = cfg});
 
   // 3. Register users (the paper's off-line registration procedure) and
   //    hand them their Bluetooth handhelds.
@@ -38,10 +39,10 @@ int main() {
 
   std::printf("after 60 simulated seconds:\n");
   for (const char* user : {"alice", "bob"}) {
-    const auto* client = sim.client(user);
+    const auto& client = sim.active_client(user);
     const auto room = sim.db_room(user);
     std::printf("  %-5s connected=%d logged_in=%d room=%s\n", user,
-                client->connected() ? 1 : 0, client->logged_in() ? 1 : 0,
+                client.connected() ? 1 : 0, client.logged_in() ? 1 : 0,
                 room ? sim.building().room(*room).name.c_str() : "(unknown)");
   }
 

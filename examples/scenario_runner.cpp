@@ -3,14 +3,17 @@
 //   $ ./scenario_runner examples/scenarios/department.bips [history.csv]
 //   $ ./scenario_runner --demo
 //   $ ./scenario_runner --trace trace.jsonl examples/scenarios/department.bips
+//   $ ./scenario_runner --shards 4 --threads 4 department.bips
 //   $ ./scenario_runner --synth 42 > generated.bips
 //
 // Prints a deployment report (enrollment, tracking scorecard, assertion
 // outcomes, and the full metrics-registry snapshot) and optionally dumps the
-// location-database transition history as CSV. --trace FILE streams the
-// structured simulation trace (JSONL, one record per line) for offline
-// analysis. --synth SEED emits a generated self-checking scenario to stdout
-// instead of running anything.
+// location-database transition history as CSV. A run is the paper's single
+// zone by default; --shards N cuts the building into N zones and --threads N
+// runs them on N workers (the output is identical for every thread count).
+// --trace FILE streams the structured simulation trace (JSONL, one record
+// per line) of a one-shard run for offline analysis. --synth SEED emits a
+// generated self-checking scenario to stdout instead of running anything.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,12 +68,12 @@ void usage(std::FILE* to, const char* argv0) {
                "\n"
                "options:\n"
                "  --trace FILE    stream the structured trace as JSONL\n"
+               "                  (one-shard runs only)\n"
                "  --exact-slots   disable virtual-slot fast-forward\n"
-               "  --threads N     replay on the sharded parallel harness\n"
-               "                  with N workers (identical output for every\n"
-               "                  N; the full scenario language replays,\n"
-               "                  faults and all assertion kinds included)\n"
-               "  --shards N      with --threads: zone count (default 4)\n"
+               "  --shards N      cut the building into N zones (default 1,\n"
+               "                  the paper's single-zone deployment)\n"
+               "  --threads N     run the zones on N workers (default 1;\n"
+               "                  identical output for every N)\n"
                "  --demo          run a built-in three-room scenario\n"
                "  --synth SEED    print a generated self-checking scenario\n"
                "                  to stdout and exit (no simulation)\n"
@@ -88,56 +91,27 @@ void usage(std::FILE* to, const char* argv0) {
                argv0, argv0, argv0);
 }
 
-void report(core::BipsSimulation& sim, const core::ScenarioSpec& spec) {
-  std::printf("ran %.0f simulated seconds: %zu rooms, %zu users\n\n",
+void report(core::ShardedBipsSimulation& sim, const core::ScenarioSpec& spec,
+            unsigned threads) {
+  std::printf("ran %.0f simulated seconds: %zu rooms, %zu users (shards %zu, "
+              "threads %u",
               spec.run_time.to_seconds(), sim.workstation_count(),
-              sim.user_count());
-
-  std::printf("--- users ---\n");
-  for (const auto& u : spec.users) {
-    const auto* client = sim.client(u.userid);
-    const auto room = sim.db_room(u.userid);
-    std::printf("  %-10s logged_in=%d room=%s\n", u.name.c_str(),
-                client->logged_in() ? 1 : 0,
-                room ? sim.building().room(*room).name.c_str() : "(unknown)");
+              sim.user_count(), sim.shard_count(), threads);
+  if (sim.window() != sim::kUnboundedLookahead) {
+    std::printf(", %.1f ms window", sim.window().to_millis());
   }
-
-  const core::TrackingMetrics& m = sim.tracking();
-  std::printf("\n--- tracking scorecard ---\n");
-  std::printf("  samples %llu, accuracy %.1f%% (correct %llu, absent-agree "
-              "%llu, wrong %llu, false-absent %llu, false-present %llu)\n",
-              static_cast<unsigned long long>(m.samples),
-              100.0 * m.accuracy(),
-              static_cast<unsigned long long>(m.correct_room),
-              static_cast<unsigned long long>(m.agree_absent),
-              static_cast<unsigned long long>(m.wrong_room),
-              static_cast<unsigned long long>(m.false_absent),
-              static_cast<unsigned long long>(m.false_present));
-
-  // Everything the deployment counted, straight from the registry: server,
-  // location database, LAN, radio, workstations and kernel in one table.
-  std::printf("\n--- metrics registry ---\n%s",
-              sim.simulator().obs().metrics.to_table().c_str());
-}
-
-void report_sharded(core::ShardedBipsSimulation& sim,
-                    const core::ScenarioSpec& spec, unsigned threads) {
-  std::printf("ran %.0f simulated seconds: %zu rooms, %zu users "
-              "(%zu shards, %u threads, %.1f ms window)\n\n",
-              spec.run_time.to_seconds(), sim.workstation_count(),
-              sim.user_count(), sim.shard_count(), threads,
-              sim.window() == sim::kUnboundedLookahead
-                  ? 0.0
-                  : sim.window().to_millis());
+  std::printf(")\n\n");
 
   std::printf("--- users ---\n");
   for (const auto& u : spec.users) {
     const auto room = sim.db_room(u.userid);
-    std::printf("  %-10s logged_in=%d room=%s owner-shard=%zu\n",
-                u.name.c_str(),
+    std::printf("  %-10s logged_in=%d room=%s", u.name.c_str(),
                 sim.active_client(u.userid).logged_in() ? 1 : 0,
-                room ? sim.building().room(*room).name.c_str() : "(unknown)",
-                sim.owner_shard(u.userid));
+                room ? sim.building().room(*room).name.c_str() : "(unknown)");
+    if (sim.shard_count() > 1) {
+      std::printf(" owner-shard=%zu", sim.owner_shard(u.userid));
+    }
+    std::printf("\n");
   }
 
   const core::TrackingMetrics& m = sim.tracking();
@@ -152,19 +126,21 @@ void report_sharded(core::ShardedBipsSimulation& sim,
               static_cast<unsigned long long>(m.false_absent),
               static_cast<unsigned long long>(m.false_present));
 
-  // Cross-shard sums of the session-recovery cells, so a sharded replay of
-  // an amnesia scenario shows *how* sessions came back (epoch-triggered
-  // re-login) without dumping every shard's registry.
-  std::printf("\n--- session recovery ---\n");
-  std::printf("  client.relogin %llu, svc.relogin %llu\n",
-              static_cast<unsigned long long>(sim.metric_sum("client.relogin")),
-              static_cast<unsigned long long>(sim.metric_sum("svc.relogin")));
-
-  std::printf("\n--- sharded kernel ---\n");
+  std::printf("\n--- kernel ---\n");
   std::printf("  events %llu, windows %llu, cross-shard mail %llu\n",
               static_cast<unsigned long long>(sim.group().events_executed()),
               static_cast<unsigned long long>(sim.group().windows_run()),
               static_cast<unsigned long long>(sim.group().mail_delivered()));
+
+  // Everything the deployment counted, straight from the registries: server,
+  // location database, LAN, radio, workstations and kernel in one table per
+  // shard.
+  for (std::size_t k = 0; k < sim.shard_count(); ++k) {
+    std::printf("\n--- metrics registry");
+    if (sim.shard_count() > 1) std::printf(" (shard %zu)", k);
+    std::printf(" ---\n%s",
+                sim.shard_simulator(k).obs().metrics.to_table().c_str());
+  }
 }
 
 void report_checks(const core::ScenarioReport& rep) {
@@ -220,8 +196,8 @@ int main(int argc, char** argv) {
   bool exact_slots = false;
   bool synth_chaos = false;
   long long synth_seed = -1;
-  long threads = 0;  // 0 = monolithic; >0 = sharded harness with N workers
-  long shards = 4;
+  long threads = 1;
+  long shards = 1;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
@@ -270,6 +246,11 @@ int main(int argc, char** argv) {
     usage(stderr, argv[0]);
     return kUsage;
   }
+  if (!trace_path.empty() && shards > 1) {
+    std::fprintf(stderr, "--trace is not supported with --shards > 1 yet "
+                         "(per-shard trace streams)\n");
+    return kUsage;
+  }
 
   core::ScenarioError err;
   std::optional<core::ScenarioSpec> spec;
@@ -292,36 +273,6 @@ int main(int argc, char** argv) {
 
   if (exact_slots) spec->config.channel.exact_slots = true;
 
-  if (threads > 0) {
-    // Sharded parallel replay: identical output for every worker count
-    // (CI byte-diffs --threads 4 histories against --threads 1).
-    if (!trace_path.empty()) {
-      std::fprintf(stderr, "--trace is not supported with --threads yet "
-                           "(per-shard trace streams)\n");
-      return kUsage;
-    }
-    std::string err_sharded;
-    core::ScenarioReport checks;
-    auto sim = core::run_scenario_sharded(
-        *spec, static_cast<unsigned>(threads),
-        static_cast<std::size_t>(shards), &checks, &err_sharded);
-    if (!sim) {
-      std::fprintf(stderr, "%s\n", err_sharded.c_str());
-      return kParseError;
-    }
-    report_sharded(*sim, *spec, static_cast<unsigned>(threads));
-    report_checks(checks);
-    if (positional.size() >= 2 && std::strcmp(positional[0], "--demo") != 0) {
-      std::ofstream csv;
-      if (!open_sink(csv, positional[1])) return kSinkError;
-      sim->write_history_csv(csv);
-      if (!close_sink(csv, positional[1])) return kSinkError;
-      std::printf("\nhistory written to %s\n", positional[1]);
-    }
-    if (checks.passed()) return kOk;
-    return checks.invariants_violated() ? kInvariantBroken : kAssertFailed;
-  }
-
   // The trace sink must be live before the first event fires, so it rides
   // the pre-run hook. Deterministic: same scenario + seed => same bytes.
   std::ofstream trace_os;
@@ -332,15 +283,17 @@ int main(int argc, char** argv) {
   }
   core::ScenarioReport checks;
   auto sim = core::run_scenario(
-      *spec,
-      [&](core::BipsSimulation& s) {
-        if (trace_sink) s.simulator().obs().tracer.set_sink(trace_sink.get());
+      *spec, static_cast<unsigned>(threads), static_cast<std::size_t>(shards),
+      [&](core::ShardedBipsSimulation& s) {
+        if (trace_sink) {
+          s.shard_simulator(0).obs().tracer.set_sink(trace_sink.get());
+        }
       },
       &checks);
-  report(*sim, *spec);
+  report(*sim, *spec, static_cast<unsigned>(threads));
   report_checks(checks);
   if (trace_sink) {
-    sim->simulator().obs().tracer.set_sink(nullptr);
+    sim->shard_simulator(0).obs().tracer.set_sink(nullptr);
     trace_sink->flush();
     if (!close_sink(trace_os, trace_path)) return kSinkError;
     std::printf("\ntrace written to %s (%zu records)\n", trace_path.c_str(),

@@ -12,14 +12,14 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 #include "src/mobility/render.hpp"
 
 using namespace bips;
 
 namespace {
 
-void print_roll_call(core::BipsSimulation& sim, const char* when) {
+void print_roll_call(core::ShardedBipsSimulation& sim, const char* when) {
   const auto rep = sim.server().query(
       core::BipsServer::Query::who_is_in("", "seminar-room"));
   std::printf("%-22s seminar-room holds %zu:", when, rep.users.size());
@@ -36,7 +36,8 @@ int main() {
   cfg.workstation.scheduler.inquiry_length = Duration::from_seconds(2.56);
   cfg.workstation.scheduler.cycle_length = Duration::from_seconds(5.12);
 
-  core::BipsSimulation sim(mobility::Building::department(), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::department(),
+                                  core::ShardedConfig{.base = cfg});
   const mobility::RoomId seminar = *sim.building().find("seminar-room");
   const char* names[] = {"Alice", "Bob",  "Carol", "Dave",
                          "Erin",  "Frank", "Grace", "Heidi"};
@@ -49,7 +50,7 @@ int main() {
     sim.add_user(names[i], userid, "pw", start);
     // Everyone's calendar says: seminar room, t = 120 s.
     agendas.push_back(std::make_unique<mobility::AgendaAgent>(
-        sim.simulator(), sim.building(), sim.server().paths(),
+        sim.shard_simulator(0), sim.building(), sim.server().paths(),
         Rng(900 + i), start,
         std::vector<mobility::AgendaAgent::Appointment>{
             {SimTime(Duration::seconds(120).ns()), seminar}}));
@@ -92,10 +93,10 @@ int main() {
     const auto home =
         static_cast<mobility::RoomId>(i % sim.building().room_count());
     returns.push_back(std::make_unique<mobility::AgendaAgent>(
-        sim.simulator(), sim.building(), sim.server().paths(),
+        sim.shard_simulator(0), sim.building(), sim.server().paths(),
         Rng(950 + i), seminar,
         std::vector<mobility::AgendaAgent::Appointment>{
-            {sim.simulator().now() + Duration::seconds(5), home}}));
+            {sim.shard_simulator(0).now() + Duration::seconds(5), home}}));
     mobility::AgendaAgent* agent = returns.back().get();
     sim.set_position_provider("u" + std::to_string(i),
                               [agent] { return agent->position(); });

@@ -9,9 +9,10 @@
 namespace bips::core {
 
 namespace {
-/// Same address plan as the monolithic harness (simulation.cpp): the
-/// replicas of one handheld share one BD_ADDR across every shard's radio --
-/// it is the same physical device.
+/// Stable, readable device addresses: workstations aa:00:..., handhelds
+/// c0:ff:ee:...; raw 0 (the null address) is never produced. The replicas
+/// of one handheld share one BD_ADDR across every shard's radio -- it is
+/// the same physical device.
 baseband::BdAddr station_addr(StationId s) {
   return baseband::BdAddr(0xAA00'0000'0000ull + s + 1);
 }
@@ -63,9 +64,12 @@ ShardedBipsSimulation::ShardedBipsSimulation(mobility::Building building,
   BIPS_ASSERT_MSG(window.has_value(), "no conservative window");
   window_ = cfg_.window > Duration(0) ? cfg_.window : *window;
 
-  // Shard construction order fixes the master-RNG fork order; everything
-  // below runs single-threaded, so the whole build is a deterministic
-  // function of the seed regardless of how many threads later run it.
+  // The RNG stream plan: shard k's stream is the k-th fork of the master
+  // (its radio, LAN, stations, handheld and agent replicas all draw from
+  // it); the master itself only salts registry passwords. Shard
+  // construction order fixes the fork order, and everything below runs
+  // single-threaded, so the whole build is a deterministic function of the
+  // seed regardless of how many threads later run it.
   shards_.reserve(s);
   for (std::size_t k = 0; k < s; ++k) {
     baseband::ChannelConfig ccfg = cfg_.base.channel;
@@ -124,8 +128,8 @@ ShardedBipsSimulation::ShardedBipsSimulation(mobility::Building building,
   if (s > 1) {
     // Presence ingest moves off the server thread: each zone gets a local
     // front-end agent; its window log replays into the server at barriers
-    // (merge_zone_ingest). Single-shard worlds skip all of this and keep
-    // the monolithic direct-to-server presence path.
+    // (merge_zone_ingest). Single-shard worlds skip all of this: their
+    // stations report presence straight to the server.
     ingests_.reserve(s);
     for (std::size_t k = 0; k < s; ++k) {
       ingests_.push_back(std::make_unique<ZoneIngest>(
@@ -216,11 +220,19 @@ void ShardedBipsSimulation::add_user(const std::string& name,
 void ShardedBipsSimulation::install_provider(std::size_t i, std::size_t k) {
   Replica* rep = users_[i].replicas[k].get();
   // A dormant (or scripted-shadowed) replica's device parks 1 km off the
-  // floor plan, exactly like the monolithic radio-shadow fault: outside
-  // every coverage circle, so it neither answers inquiries nor holds any
+  // floor plan: outside every coverage circle and any radio range a
+  // scenario can configure, so it neither answers inquiries nor holds any
   // occupancy bookkeeping near the seam. The re-install itself fires the
   // device's position listeners (the discrete teleport that wakes quiesced
   // masters).
+  if (rep->provider) {
+    // Scripted source (single-shard worlds: the replica is always active).
+    rep->client->device().set_position_provider([rep] {
+      const Vec2 p = rep->provider();
+      return rep->shadowed ? p + Vec2{1000.0, 1000.0} : p;
+    });
+    return;
+  }
   rep->client->device().set_position_provider([rep] {
     const Vec2 p = rep->agent->position();
     return rep->active && !rep->shadowed ? p : p + Vec2{1000.0, 1000.0};
@@ -244,7 +256,7 @@ void ShardedBipsSimulation::start() {
   for (std::size_t i = 0; i < users_.size(); ++i) {
     Replica& rep = *users_[i].replicas[owner_[i]];
     rep.client->start();
-    rep.agent->start();
+    if (!rep.provider) rep.agent->start();  // scripted sources drive themselves
   }
 }
 
@@ -324,10 +336,9 @@ void ShardedBipsSimulation::schedule_power_cycle(SimTime at,
   BIPS_ASSERT(off_for > Duration(0));
   const std::size_t i = user_index(userid);
   for (std::size_t k = 0; k < shard_count(); ++k) {
-    // Exactly the monolithic power-cycle pair: shadow + power_off, then
-    // unshadow + power_on, fired on whichever replica is live (the owner
-    // guard makes exactly one fire; mid-blackout acts drop, identically at
-    // every thread count).
+    // The power-cycle pair: shadow + power_off, then unshadow + power_on,
+    // fired on whichever replica is live (the owner guard makes exactly one
+    // fire; mid-blackout acts drop, identically at every thread count).
     group_.shard(k).schedule_at(at, [this, i, k] {
       Replica& rep = *users_[i].replicas[k];
       if (!rep.active || rep.powered_off) return;
@@ -365,11 +376,22 @@ std::uint64_t ShardedBipsSimulation::metric_sum(std::string_view name) const {
   return sum;
 }
 
+void ShardedBipsSimulation::set_position_provider(
+    std::string_view userid, std::function<Vec2()> provider) {
+  BIPS_ASSERT_MSG(shard_count() == 1,
+                  "a scripted position source cannot cross a zone seam");
+  const std::size_t i = user_index(userid);
+  Replica& rep = *users_[i].replicas[0];
+  rep.provider = std::move(provider);
+  rep.agent->stop();
+  install_provider(i, 0);
+}
+
 mobility::RoomId ShardedBipsSimulation::true_room(
     std::string_view userid) const {
   const std::size_t i = user_index(userid);
   const Replica& rep = *users_[i].replicas[owner_[i]];
-  return building_.nearest_room_within(rep.agent->position(),
+  return building_.nearest_room_within(rep.position(),
                                        cfg_.base.coverage_radius_m);
 }
 
@@ -396,8 +418,8 @@ void ShardedBipsSimulation::enable_tracking_metrics(Duration period) {
   sample_period_ = period;
   next_sample_ = group_.now() + period;
   if (shard_count() == 1) {
-    // No barriers to ride in a single-shard world: keep the monolithic
-    // in-simulation sampler.
+    // One unbounded window has no barriers to ride: sample from an
+    // in-simulation timer instead.
     sampler_ = std::make_unique<sim::PeriodicTimer>(
         group_.shard(0), period, [this] { sample_tracking(); });
     sampler_->start();
@@ -494,7 +516,7 @@ void ShardedBipsSimulation::sample_tracking() {
     // out for the one-window blackout, identically at every thread count.
     if (!rep.client->logged_in()) continue;
     const mobility::RoomId truth = building_.nearest_room_within(
-        rep.agent->position(), cfg_.base.coverage_radius_m);
+        rep.position(), cfg_.base.coverage_radius_m);
     const auto believed =
         server_->locations().piconet_of(rep.client->addr().raw());
     ++tracking_.samples;

@@ -1,11 +1,14 @@
-// Sharded full-stack BIPS simulation (DESIGN.md section 9).
+// The full-stack BIPS simulation (DESIGN.md section 9).
 //
-// Partitions the building into vertical zones (contiguous column bands of
-// room centres) and gives each zone its own sim::Simulator shard carrying
-// the zone's workstations, its own radio channel, its own LAN segment and a
-// dormant replica of every handheld. The shards advance in conservative-
-// lookahead windows under a sim::ShardGroup; the only cross-shard traffic
-// is
+// The one way to run a deployment. With one shard (the default) it is the
+// paper's Figure 1 as-is: every workstation, handheld and walking agent on
+// one simulator, and the stations talking straight to the central server.
+// With more shards it partitions the building into vertical zones
+// (contiguous column bands of room centres) and gives each zone its own
+// sim::Simulator shard carrying the zone's workstations, its own radio
+// channel, its own LAN segment and a dormant replica of every handheld. The
+// shards advance in conservative-lookahead windows under a sim::ShardGroup;
+// the only cross-shard traffic is
 //   * zone-LAN -> server uplink datagrams (the server lives on shard 0),
 //     carried as mailbox events due at their precomputed delivery instant;
 //   * agent handoffs: a walker crossing a zone seam suspends its replica at
@@ -40,11 +43,12 @@
 namespace bips::core {
 
 struct ShardedConfig {
-  /// The monolithic stack configuration every shard inherits.
+  /// The deployment configuration every shard inherits.
   SimulationConfig base;
   /// Requested zone count; clamped to the number of distinct room-centre
-  /// x coordinates (a single-column building cannot be split).
-  std::size_t shards = 4;
+  /// x coordinates (a single-column building cannot be split). The default
+  /// is the paper's single zone.
+  std::size_t shards = 1;
   /// Location-service shard count. 0 (default) aligns the service with the
   /// simulator zones -- same ZonePartition, so a presence delta ingested
   /// by simulator shard k is owned by location shard k. Any other value
@@ -60,9 +64,9 @@ struct ShardedConfig {
   Duration window = Duration(0);
 };
 
-/// The whole-building simulation, sharded. Mirrors the BipsSimulation
-/// surface the bench and scenario layers consume; `threads` on run_for
-/// selects the worker count without changing a single byte of output.
+/// The whole-building simulation, cut into `shards` zones; `threads` on
+/// run_for selects the worker count without changing a single byte of
+/// output.
 class ShardedBipsSimulation {
  public:
   /// The conservative window this configuration admits:
@@ -84,10 +88,12 @@ class ShardedBipsSimulation {
   void add_user(const std::string& name, const std::string& userid,
                 const std::string& password, mobility::RoomId start_room);
 
+  /// Starts every workstation, handheld and agent (idempotent).
   void start();
-  /// Advances every shard by `d` in conservative windows on `threads`
-  /// workers (1 = the sequential reference execution; byte-identical).
-  void run_for(Duration d, unsigned threads);
+  /// Starts the system if needed, then advances every shard by `d` in
+  /// conservative windows on `threads` workers (1 = the sequential
+  /// reference execution; byte-identical).
+  void run_for(Duration d, unsigned threads = 1);
 
   sim::ShardGroup& group() { return group_; }
   std::size_t shard_count() const { return group_.shard_count(); }
@@ -135,14 +141,17 @@ class ShardedBipsSimulation {
   using UserAct =
       std::function<void(BipsClient&, mobility::RandomWaypointAgent&)>;
   void schedule_user_act(SimTime at, std::string_view userid, UserAct act);
-  /// Scripted RF shadow (the set_radio_shadowed fault of the monolithic
-  /// harness): the flag rides handoffs with the user.
+  /// Scripted RF shadow: from `at` the handheld's radio sits 1 km off the
+  /// floor plan while its owner keeps walking (ground truth still follows
+  /// the owner), so it stops answering inquiries and an attached master
+  /// drops it via the supervision timeout. The flag rides handoffs with the
+  /// user.
   void schedule_radio_shadow(SimTime at, std::string_view userid,
                              bool shadowed);
-  /// Scripted handheld power cycle (the monolithic shadow + power_off /
-  /// unshadow + power_on pair as one act): radio dark and session RAM dead
-  /// at `at`, back on at `at + off_for`. The powered-off state rides
-  /// handoffs with the user like the shadow flag does.
+  /// Scripted handheld power cycle (shadow + power_off, then unshadow +
+  /// power_on, as one act): radio dark and session RAM dead at `at`, back
+  /// on at `at + off_for`. The powered-off state rides handoffs with the
+  /// user like the shadow flag does.
   void schedule_power_cycle(SimTime at, std::string_view userid,
                             Duration off_for);
 
@@ -162,6 +171,14 @@ class ShardedBipsSimulation {
     return owner_[user_index(userid)];
   }
 
+  /// Replaces a user's mobility with a custom position source (e.g. an
+  /// AgendaAgent or a scripted path). The handheld, the ground truth
+  /// (true_room) and the tracking metrics all follow it; the user's
+  /// random-waypoint agent is stopped. Single-shard worlds only: a scripted
+  /// source cannot hand off across a zone seam. Call after add_user.
+  void set_position_provider(std::string_view userid,
+                             std::function<Vec2()> provider);
+
   /// Single-threaded hook at every window barrier (after handoffs and
   /// uplink mail have been drained), with the window's right edge.
   void set_barrier_hook(std::function<void(SimTime)> hook) {
@@ -170,13 +187,14 @@ class ShardedBipsSimulation {
 
   /// Periodic DB-vs-ground-truth grading. Multi-shard worlds sample at the
   /// first window barrier at or after each period tick (a bounded, fully
-  /// deterministic quantisation); a single-shard world keeps the
-  /// monolithic in-simulation sampler.
+  /// deterministic quantisation); a single-shard world samples from an
+  /// in-simulation timer on the exact tick grid.
   void enable_tracking_metrics(Duration period);
   const TrackingMetrics& tracking() const { return tracking_; }
 
-  /// The canonical discovery-history CSV (identical format to
-  /// BipsSimulation::write_history_csv; same canonical sort).
+  /// The canonical discovery-history CSV (core::write_history_csv): the
+  /// location database's transition audit trail, time_s,user,device,room,
+  /// event -- a convenient hand-off to plotting tools.
   void write_history_csv(std::ostream& os) const;
 
  private:
@@ -202,6 +220,10 @@ class ShardedBipsSimulation {
     bool active = false;    // this shard owns the user right now
     bool shadowed = false;  // scripted RF shadow (travels on handoff)
     bool powered_off = false;  // scripted power cycle (travels on handoff)
+    /// set_position_provider's source; replaces the agent when set.
+    std::function<Vec2()> provider;
+
+    Vec2 position() const { return provider ? provider() : agent->position(); }
   };
 
   struct User {
@@ -215,10 +237,11 @@ class ShardedBipsSimulation {
   double dom_hi(std::size_t k) const;
   std::size_t user_index(std::string_view userid) const;
 
-  /// (Re)installs replica (i, k)'s device position provider. The install
-  /// itself fires the device's position listeners -- the discrete
-  /// "teleport" into or out of the parking shadow that wakes any quiesced
-  /// master relying on a speed bound.
+  /// (Re)installs replica (i, k)'s device position provider: the agent's
+  /// position, or the user's scripted source. The install itself fires the
+  /// device's position listeners -- the discrete "teleport" into or out of
+  /// the parking shadow that wakes any quiesced master relying on a speed
+  /// bound.
   void install_provider(std::size_t i, std::size_t k);
   void handle_exit(std::size_t i, std::size_t k, mobility::TransitState st);
   void resume_replica(std::size_t i, std::size_t dst,

@@ -1,198 +1,11 @@
 #include "src/core/simulation.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <ostream>
 #include <vector>
 
-#include "src/util/log.hpp"
-
 namespace bips::core {
-
-namespace {
-/// Stable, readable device addresses: workstations aa:00:..., handhelds
-/// c0:ff:ee:...; raw 0 (the null address) is never produced.
-baseband::BdAddr station_addr(StationId s) {
-  return baseband::BdAddr(0xAA00'0000'0000ull + s + 1);
-}
-baseband::BdAddr handheld_addr(std::size_t i) {
-  return baseband::BdAddr(0xC0FF'EE00'0000ull + i + 1);
-}
-}  // namespace
-
-BipsSimulation::BipsSimulation(mobility::Building building,
-                               SimulationConfig cfg)
-    : cfg_(cfg),
-      rng_(cfg.seed),
-      zone_rng_(rng_.fork()),
-      building_(std::move(building)),
-      radio_(sim_, zone_rng_,
-             [&cfg] {
-               baseband::ChannelConfig c = cfg.channel;
-               c.default_range_m = cfg.coverage_radius_m;
-               return c;
-             }()),
-      lan_(sim_, zone_rng_, cfg.lan) {
-  server_ = std::make_unique<BipsServer>(sim_, lan_, building_, cfg_.server);
-  stations_.reserve(building_.room_count());
-  for (const mobility::Room& room : building_.rooms()) {
-    auto ws = std::make_unique<BipsWorkstation>(
-        sim_, radio_, lan_, server_->address(), room.id,
-        station_addr(room.id), zone_rng_.fork(), room.center,
-        cfg_.workstation);
-    ws->set_link_resolver([this](baseband::BdAddr a) -> baseband::SlaveLink* {
-      const auto it = clients_by_addr_.find(a.raw());
-      return it == clients_by_addr_.end() ? nullptr : &it->second->link();
-    });
-    stations_.push_back(std::move(ws));
-  }
-}
-
-void BipsSimulation::add_user(const std::string& name,
-                              const std::string& userid,
-                              const std::string& password,
-                              mobility::RoomId start_room) {
-  BIPS_ASSERT_MSG(!started_, "add users before starting the simulation");
-  BIPS_ASSERT(start_room < building_.room_count());
-  const bool registered = server_->registry().register_user(
-      userid, name, password, rng_.next_u64());
-  BIPS_ASSERT_MSG(registered, "duplicate userid or name");
-
-  User u;
-  u.userid = userid;
-  u.name = name;
-
-  ClientConfig ccfg;
-  ccfg.userid = userid;
-  ccfg.password = password;
-  ccfg.slave = cfg_.slave;
-  u.client = std::make_unique<BipsClient>(sim_, radio_,
-                                          handheld_addr(users_.size()),
-                                          zone_rng_.fork(), std::move(ccfg));
-  u.agent = std::make_unique<mobility::RandomWaypointAgent>(
-      sim_, building_, server_->paths(), zone_rng_.fork(), start_room,
-      cfg_.mobility);
-  // The handheld rides in its owner's pocket.
-  mobility::RandomWaypointAgent* agent = u.agent.get();
-  u.client->device().set_position_provider(
-      [agent] { return agent->position(); });
-
-  clients_by_addr_.emplace(u.client->addr().raw(), u.client.get());
-  users_.push_back(std::move(u));
-}
-
-void BipsSimulation::start() {
-  if (started_) return;
-  started_ = true;
-  const Duration cycle = cfg_.workstation.scheduler.cycle_length;
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    if (cfg_.stagger_inquiry && stations_.size() > 1) {
-      const Duration offset = Duration::nanos(
-          cycle.ns() * static_cast<std::int64_t>(i) /
-          static_cast<std::int64_t>(stations_.size()));
-      stations_[i]->start_after(offset);
-    } else {
-      stations_[i]->start();
-    }
-  }
-  for (auto& u : users_) {
-    u.client->start();
-    if (!u.provider) u.agent->start();  // custom providers drive themselves
-  }
-}
-
-void BipsSimulation::run_for(Duration d) {
-  start();
-  sim_.run_until(sim_.now() + d);
-}
-
-const BipsSimulation::User* BipsSimulation::find_user(
-    std::string_view userid) const {
-  for (const auto& u : users_) {
-    if (u.userid == userid) return &u;
-  }
-  return nullptr;
-}
-
-BipsSimulation::User* BipsSimulation::find_user(std::string_view userid) {
-  for (auto& u : users_) {
-    if (u.userid == userid) return &u;
-  }
-  return nullptr;
-}
-
-void BipsSimulation::set_position_provider(std::string_view userid,
-                                           std::function<Vec2()> provider) {
-  User* u = find_user(userid);
-  BIPS_ASSERT(u != nullptr);
-  u->provider = std::move(provider);
-  u->agent->stop();
-  const User* cu = u;
-  u->client->device().set_position_provider([cu] { return cu->position(); });
-}
-
-void BipsSimulation::set_radio_shadowed(std::string_view userid,
-                                        bool shadowed) {
-  User* u = find_user(userid);
-  BIPS_ASSERT(u != nullptr);
-  if (u->shadowed == shadowed) return;
-  u->shadowed = shadowed;
-  // Re-installing the provider is what fires the device's position
-  // listeners: the "teleport" both into and out of the shadow must wake a
-  // quiesced master whose park proved this slave's range with a speed
-  // bound.
-  const User* cu = u;
-  if (shadowed) {
-    // 1 km off the floor plan: outside every coverage circle and any radio
-    // range a scenario can configure, while keeping grid-cell keys tame.
-    u->client->device().set_position_provider(
-        [cu] { return cu->position() + Vec2{1000.0, 1000.0}; });
-  } else {
-    u->client->device().set_position_provider([cu] { return cu->position(); });
-  }
-}
-
-bool BipsSimulation::radio_shadowed(std::string_view userid) const {
-  const User* u = find_user(userid);
-  BIPS_ASSERT(u != nullptr);
-  return u->shadowed;
-}
-
-std::vector<std::string> BipsSimulation::userids() const {
-  std::vector<std::string> ids;
-  ids.reserve(users_.size());
-  for (const User& u : users_) ids.push_back(u.userid);
-  return ids;
-}
-
-BipsClient* BipsSimulation::client(std::string_view userid) {
-  const User* u = find_user(userid);
-  return u == nullptr ? nullptr : u->client.get();
-}
-
-mobility::RandomWaypointAgent* BipsSimulation::agent(std::string_view userid) {
-  const User* u = find_user(userid);
-  return u == nullptr ? nullptr : u->agent.get();
-}
-
-mobility::RoomId BipsSimulation::true_room(std::string_view userid) const {
-  const User* u = find_user(userid);
-  BIPS_ASSERT(u != nullptr);
-  return building_.nearest_room_within(u->position(), cfg_.coverage_radius_m);
-}
-
-std::optional<StationId> BipsSimulation::db_room(
-    std::string_view userid) const {
-  const User* u = find_user(userid);
-  BIPS_ASSERT(u != nullptr);
-  return server_->locations().piconet_of(u->client->addr().raw());
-}
-
-void BipsSimulation::enable_tracking_metrics(Duration period) {
-  BIPS_ASSERT(period > Duration(0));
-  sampler_ = std::make_unique<sim::PeriodicTimer>(
-      sim_, period, [this] { sample_tracking(); });
-  sampler_->start();
-}
 
 void write_history_csv(std::ostream& os, const BipsServer& server,
                        const mobility::Building& building) {
@@ -220,30 +33,6 @@ void write_history_csv(std::ostream& os, const BipsServer& server,
     os << t.at.to_seconds() << ',' << (userid ? *userid : "") << ',' << dev
        << ',' << building.room(t.station).name << ','
        << (t.present ? "enter" : "leave") << '\n';
-  }
-}
-
-void BipsSimulation::write_history_csv(std::ostream& os) const {
-  core::write_history_csv(os, *server_, building_);
-}
-
-void BipsSimulation::sample_tracking() {
-  for (const auto& u : users_) {
-    if (!u.client->logged_in()) continue;  // BIPS only tracks logged-in users
-    const mobility::RoomId truth =
-        building_.nearest_room_within(u.position(), cfg_.coverage_radius_m);
-    const auto believed =
-        server_->locations().piconet_of(u.client->addr().raw());
-    ++tracking_.samples;
-    if (truth == mobility::kNoRoom) {
-      believed ? ++tracking_.false_present : ++tracking_.agree_absent;
-    } else if (!believed) {
-      ++tracking_.false_absent;
-    } else if (*believed == truth) {
-      ++tracking_.correct_room;
-    } else {
-      ++tracking_.wrong_room;
-    }
   }
 }
 

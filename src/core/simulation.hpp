@@ -1,24 +1,18 @@
-// Full-stack BIPS simulation harness.
+// Deployment configuration and grading types of the full-stack harness.
 //
-// Builds the complete deployment of the paper's Figure 1 inside one
-// discrete-event simulation: a building with one workstation (piconet
-// master) per room, the central server on a simulated LAN, and a population
-// of registered users whose handhelds scan, get discovered, log in, are
-// tracked, and can query each other's positions -- while their owners walk
-// around the building.
+// The paper's Figure 1 deployment -- one workstation (piconet master) per
+// room, the central server on a LAN, a population of walking users whose
+// handhelds scan, get discovered, log in, are tracked and query each
+// other's positions -- is built and run by core::ShardedBipsSimulation
+// (parallel.hpp). Its one-shard configuration is the paper's single zone;
+// more shards cut the same building into zones run on worker threads.
 //
-// The harness also grades the service: a periodic sampler compares the
+// The harness grades the service with a periodic sampler that compares the
 // location database against the mobility ground truth (which coverage
-// circle each user actually stands in).
+// circle each user actually stands in): TrackingMetrics.
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <iosfwd>
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "src/core/client.hpp"
 #include "src/core/server.hpp"
@@ -67,109 +61,9 @@ struct TrackingMetrics {
 /// (time_s,user,device,room,event): rows sorted on (time, device) so that
 /// kernel interleavings of same-instant independent retirements -- which
 /// both the virtual-slot fast-forward and the sharded parallel kernel
-/// legitimately perturb -- never show in the bytes. Shared by the
-/// monolithic and the sharded harness so their outputs are directly
-/// diffable.
+/// legitimately perturb -- never show in the bytes, and the file is
+/// identical at every shard and thread count.
 void write_history_csv(std::ostream& os, const BipsServer& server,
                        const mobility::Building& building);
-
-class BipsSimulation {
- public:
-  BipsSimulation(mobility::Building building, SimulationConfig cfg);
-  BipsSimulation(const BipsSimulation&) = delete;
-  BipsSimulation& operator=(const BipsSimulation&) = delete;
-
-  /// Registers a user, creates their handheld + walking agent starting in
-  /// `start_room`. Call before start().
-  void add_user(const std::string& name, const std::string& userid,
-                const std::string& password, mobility::RoomId start_room);
-
-  /// Starts every workstation, handheld and agent (idempotent).
-  void start();
-  /// Advances simulated time by `d` (starts the system first if needed).
-  void run_for(Duration d);
-
-  sim::Simulator& simulator() { return sim_; }
-  baseband::RadioChannel& radio() { return radio_; }
-  net::Lan& lan() { return lan_; }
-  BipsServer& server() { return *server_; }
-  const mobility::Building& building() const { return building_; }
-
-  std::size_t workstation_count() const { return stations_.size(); }
-  BipsWorkstation& workstation(StationId s) { return *stations_.at(s); }
-
-  std::size_t user_count() const { return users_.size(); }
-  /// All registered userids, in registration order.
-  std::vector<std::string> userids() const;
-  BipsClient* client(std::string_view userid);
-  mobility::RandomWaypointAgent* agent(std::string_view userid);
-
-  /// Replaces a user's mobility with a custom position source (e.g. an
-  /// AgendaAgent or a scripted path). The handheld, the ground truth
-  /// (true_room) and the tracking metrics all follow it; the default
-  /// random-waypoint agent is stopped. Call after add_user.
-  void set_position_provider(std::string_view userid,
-                             std::function<Vec2()> provider);
-
-  /// Fault injection: puts the user's handheld radio in (or out of) an RF
-  /// shadow. The owner keeps walking -- ground truth and the tracking
-  /// sampler still follow the agent -- but the *device* teleports out of
-  /// every coverage circle, so it stops answering inquiries and an attached
-  /// master drops it via the supervision timeout. The discrete position
-  /// write fires the device's position listeners, which is what wakes any
-  /// fast-forwarded (quiesced) piconet that was counting on a speed bound.
-  void set_radio_shadowed(std::string_view userid, bool shadowed);
-  bool radio_shadowed(std::string_view userid) const;
-
-  /// Ground truth: the piconet physically covering the user right now.
-  mobility::RoomId true_room(std::string_view userid) const;
-  /// What the location database believes.
-  std::optional<StationId> db_room(std::string_view userid) const;
-
-  /// Starts periodic ground-truth sampling into tracking().
-  void enable_tracking_metrics(Duration period);
-  const TrackingMetrics& tracking() const { return tracking_; }
-
-  /// Dumps the location database's transition history as CSV
-  /// (time_s,user,device,room,event) -- the audit trail a deployment would
-  /// archive, and a convenient hand-off to plotting tools.
-  void write_history_csv(std::ostream& os) const;
-
- private:
-  struct User {
-    std::string userid;
-    std::string name;
-    std::unique_ptr<BipsClient> client;
-    std::unique_ptr<mobility::RandomWaypointAgent> agent;
-    /// When set, overrides the agent as the source of truth and motion.
-    std::function<Vec2()> provider;
-    /// Radio shadow (see set_radio_shadowed): the device is parked far
-    /// outside the building while the owner keeps moving normally.
-    bool shadowed = false;
-
-    Vec2 position() const { return provider ? provider() : agent->position(); }
-  };
-
-  const User* find_user(std::string_view userid) const;
-  User* find_user(std::string_view userid);
-  void sample_tracking();
-
-  SimulationConfig cfg_;
-  sim::Simulator sim_;
-  Rng rng_;  // master stream: registry salts only
-  Rng zone_rng_;  // rng_.fork(), exactly like the sharded stack's shard 0
-  mobility::Building building_;
-  baseband::RadioChannel radio_;
-  net::Lan lan_;
-  std::unique_ptr<BipsServer> server_;
-  std::vector<std::unique_ptr<BipsWorkstation>> stations_;
-  // deque: user references stay valid as later users are added (position
-  // providers capture pointers into this container).
-  std::deque<User> users_;
-  std::unordered_map<std::uint64_t, BipsClient*> clients_by_addr_;
-  bool started_ = false;
-  TrackingMetrics tracking_;
-  std::unique_ptr<sim::PeriodicTimer> sampler_;
-};
 
 }  // namespace bips::core

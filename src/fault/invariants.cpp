@@ -2,29 +2,28 @@
 
 #include <cstdio>
 
-#include "src/util/assert.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::fault {
 
-InvariantChecker::InvariantChecker(core::BipsSimulation& sim, Config cfg)
-    : InvariantChecker(
-          WorldView{
-              [&sim] { return sim.simulator().now(); },
-              [&sim] { return sim.workstation_count(); },
-              [&sim](core::StationId s) -> core::BipsWorkstation& {
-                return sim.workstation(s);
-              },
-              [&sim] { return sim.server().crashed(); },
-              [&sim] { return sim.userids(); },
-              [&sim](std::string_view uid) {
-                const core::BipsClient* c = sim.client(uid);
-                return c != nullptr && c->logged_in();
-              },
-              [&sim](std::string_view uid) { return sim.db_room(uid); },
-              [&sim](std::string_view uid) { return sim.true_room(uid); },
-          },
-          std::move(cfg)) {
-  timer_sim_ = &sim.simulator();
+InvariantChecker::WorldView world_view(core::ShardedBipsSimulation& sim) {
+  InvariantChecker::WorldView view;
+  view.now = [&sim] {
+    return sim.shard_count() == 1 ? sim.shard_simulator(0).now()
+                                  : sim.group().now();
+  };
+  view.workstation_count = [&sim] { return sim.workstation_count(); };
+  view.workstation = [&sim](core::StationId s) -> core::BipsWorkstation& {
+    return sim.workstation(s);
+  };
+  view.server_crashed = [&sim] { return sim.server().crashed(); };
+  view.userids = [&sim] { return sim.userids(); };
+  view.logged_in = [&sim](std::string_view uid) {
+    return sim.active_client(uid).logged_in();
+  };
+  view.db_room = [&sim](std::string_view uid) { return sim.db_room(uid); };
+  view.true_room = [&sim](std::string_view uid) { return sim.true_room(uid); };
+  return view;
 }
 
 InvariantChecker::InvariantChecker(WorldView view, Config cfg)
@@ -34,21 +33,6 @@ InvariantChecker::InvariantChecker(WorldView view, Config cfg)
 
 bool InvariantChecker::graded(core::StationId s) const {
   return !cfg_.station_filter || cfg_.station_filter(s);
-}
-
-void InvariantChecker::start() {
-  BIPS_ASSERT_MSG(timer_sim_ != nullptr,
-                  "start() needs the BipsSimulation form; view-based "
-                  "checkers are sampled by their owner");
-  if (!timer_) {
-    timer_ = std::make_unique<sim::PeriodicTimer>(
-        *timer_sim_, cfg_.sample_period, [this] { sample(); });
-  }
-  timer_->start();
-}
-
-void InvariantChecker::stop() {
-  if (timer_) timer_->stop();
 }
 
 void InvariantChecker::violate(std::string msg) {

@@ -1,6 +1,6 @@
 // Safety and convergence invariants for fault-injected runs.
 //
-// The InvariantChecker samples a running BipsSimulation and records every
+// The InvariantChecker samples a running simulation and records every
 // violation of the recovery contract as a human-readable string:
 //
 //  * presence sequence numbers never regress within a workstation
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,15 +28,20 @@
 
 #include "src/core/simulation.hpp"
 
+namespace bips::core {
+class ShardedBipsSimulation;
+}
+
 namespace bips::fault {
 
 class InvariantChecker {
  public:
-  /// Everything the checker needs to observe a world, as callables -- so
-  /// the same grading runs against a monolithic BipsSimulation (sampled by
-  /// an in-simulation timer) or a ShardedBipsSimulation (sampled at window
-  /// barriers, where every shard is quiescent and cross-shard reads are
-  /// safe). All callables must stay valid for the checker's lifetime.
+  /// Everything the checker needs to observe a world, as callables. The
+  /// caller owns the sampling cadence and calls sample() itself: a
+  /// single-shard world from a PeriodicTimer on its simulator, a multi-shard
+  /// one at window barriers (every shard is quiescent there, so cross-shard
+  /// reads are safe). All callables must stay valid for the checker's
+  /// lifetime; world_view() builds the standard one.
   struct WorldView {
     std::function<SimTime()> now;
     std::function<std::size_t()> workstation_count;
@@ -66,24 +70,10 @@ class InvariantChecker {
     std::function<bool(core::StationId)> station_filter;
   };
 
-  // No `cfg = Config{}` default argument: the nested class' member
-  // initializers are only complete at the end of InvariantChecker.
-  explicit InvariantChecker(core::BipsSimulation& sim)
-      : InvariantChecker(sim, Config{}) {}
-  InvariantChecker(core::BipsSimulation& sim, Config cfg);
-  /// View-based construction: the caller owns the sampling cadence and
-  /// drives sample() itself (the sharded harness calls it from its barrier
-  /// hook). start()/stop() are unavailable on this form.
   InvariantChecker(WorldView view, Config cfg);
 
-  /// Starts periodic sampling (call before running the faulted window).
-  /// Only on the BipsSimulation form, which owns an in-simulation timer.
-  void start();
-  void stop();
-
-  /// Takes one sample of the running invariants now. The timer path calls
-  /// this every sample_period; view-based callers invoke it directly at
-  /// deterministic instants of their choosing.
+  /// Takes one sample of the running invariants now. Callers invoke it every
+  /// Config::sample_period, at deterministic instants of their choosing.
   void sample();
 
   /// End-of-run convergence check; call only after the fault plan has
@@ -107,13 +97,15 @@ class InvariantChecker {
   bool graded(core::StationId s) const;
 
   WorldView view_;
-  /// Set only by the BipsSimulation form (hosts the sampling timer).
-  sim::Simulator* timer_sim_ = nullptr;
   Config cfg_;
   std::vector<StationState> stations_;
   std::uint64_t samples_ = 0;
   std::vector<std::string> violations_;
-  std::unique_ptr<sim::PeriodicTimer> timer_;
 };
+
+/// The checker's view of `sim`: its clock (shard 0's in a single-shard
+/// world, the last barrier's edge otherwise), stations, server and users
+/// (each user through the replica that owns them).
+InvariantChecker::WorldView world_view(core::ShardedBipsSimulation& sim);
 
 }  // namespace bips::fault

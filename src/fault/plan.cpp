@@ -19,12 +19,6 @@ void trace_fault_on(sim::Simulator& simr, FaultEvent::Kind kind,
                          static_cast<std::uint64_t>(kind),
                          static_cast<std::uint64_t>(span.ns()), loss);
 }
-
-void trace_fault(core::BipsSimulation& sim, FaultEvent::Kind kind,
-                 core::StationId station = core::kNoStation,
-                 Duration span = Duration(0), double loss = 0.0) {
-  trace_fault_on(sim.simulator(), kind, station, span, loss);
-}
 }  // namespace
 
 FaultPlan& FaultPlan::add(FaultEvent e) {
@@ -174,96 +168,6 @@ Duration FaultPlan::heal_time() const {
     heal = std::max(heal, end);
   }
   return heal;
-}
-
-void FaultPlan::apply(core::BipsSimulation& sim) const {
-  sim::Simulator& simr = sim.simulator();
-  for (const FaultEvent& e : events_) {
-    switch (e.kind) {
-      case FaultEvent::Kind::kStationCrash:
-        simr.schedule(e.at, [&sim, s = e.station] {
-          trace_fault(sim, FaultEvent::Kind::kStationCrash, s);
-          sim.workstation(s).crash();
-        });
-        break;
-      case FaultEvent::Kind::kStationRestart:
-        simr.schedule(e.at, [&sim, s = e.station] {
-          trace_fault(sim, FaultEvent::Kind::kStationRestart, s);
-          sim.workstation(s).restart();
-        });
-        break;
-      case FaultEvent::Kind::kServerCrash:
-        simr.schedule(e.at, [&sim] {
-          trace_fault(sim, FaultEvent::Kind::kServerCrash);
-          sim.server().crash();
-        });
-        break;
-      case FaultEvent::Kind::kServerRestart:
-        simr.schedule(e.at, [&sim] {
-          trace_fault(sim, FaultEvent::Kind::kServerRestart);
-          sim.server().restart();
-        });
-        break;
-      case FaultEvent::Kind::kPartition:
-        // Resolve LAN addresses lazily: the plan may be built before the
-        // deployment, and the cut must reflect the topology at fire time.
-        simr.schedule(e.at, [&sim, group = e.group, span = e.span] {
-          trace_fault(sim, FaultEvent::Kind::kPartition, core::kNoStation,
-                      span);
-          std::vector<net::Address> isolated;
-          isolated.reserve(group.size());
-          for (const core::StationId s : group) {
-            isolated.push_back(sim.workstation(s).lan_address());
-          }
-          std::vector<net::Address> rest;
-          rest.push_back(sim.server().address());
-          for (core::StationId s = 0; s < sim.workstation_count(); ++s) {
-            if (std::find(group.begin(), group.end(), s) == group.end()) {
-              rest.push_back(sim.workstation(s).lan_address());
-            }
-          }
-          const SimTime now = sim.simulator().now();
-          sim.lan().partition(std::move(isolated), std::move(rest), now,
-                              now + span);
-        });
-        break;
-      case FaultEvent::Kind::kLossBurst:
-        simr.schedule(e.at, [&sim, loss = e.loss, span = e.span] {
-          trace_fault(sim, FaultEvent::Kind::kLossBurst, core::kNoStation,
-                      span, loss);
-          const double before = sim.lan().loss();
-          sim.lan().set_loss(loss);
-          sim.simulator().schedule(span,
-                                   [&sim, before] { sim.lan().set_loss(before); });
-        });
-        break;
-      case FaultEvent::Kind::kLinkLoss:
-        simr.schedule(e.at, [&sim, s = e.station, loss = e.loss, span = e.span] {
-          trace_fault(sim, FaultEvent::Kind::kLinkLoss, s, span, loss);
-          const net::Address ws = sim.workstation(s).lan_address();
-          const net::Address srv = sim.server().address();
-          sim.lan().set_link_loss(ws, srv, loss);
-          sim.simulator().schedule(span, [&sim, ws, srv] {
-            sim.lan().set_link_loss(ws, srv, 0.0);
-          });
-        });
-        break;
-      case FaultEvent::Kind::kShardCrash:
-        simr.schedule(e.at, [&sim, z = e.zone] {
-          trace_fault(sim, FaultEvent::Kind::kShardCrash,
-                      static_cast<core::StationId>(z));
-          sim.server().crash_shard(z);
-        });
-        break;
-      case FaultEvent::Kind::kShardRestart:
-        simr.schedule(e.at, [&sim, z = e.zone] {
-          trace_fault(sim, FaultEvent::Kind::kShardRestart,
-                      static_cast<core::StationId>(z));
-          sim.server().restart_shard(z);
-        });
-        break;
-    }
-  }
 }
 
 void FaultPlan::apply_sharded(core::ShardedBipsSimulation& sim) const {

@@ -1,4 +1,4 @@
-// Deterministic fault injection for a full BipsSimulation.
+// Deterministic fault injection for a full ShardedBipsSimulation.
 //
 // A FaultPlan is a schedule of infrastructure failures -- workstation and
 // server crashes/restarts, LAN partitions, loss bursts -- either scripted
@@ -11,14 +11,13 @@
 // window ends, so heal_time() gives the instant after which the recovery
 // invariants (see invariants.hpp) must reconverge.
 //
-// Plans apply to the monolithic simulation (apply) or the sharded one
-// (apply_sharded). The sharded application splits the schedule by owner:
-// shard-local directives (station crash/restart, link loss, loss bursts,
-// partitions, per-station chaos) become exact-time events inside the
-// owning shard's windows, while barrier-class directives touching only
-// shard-0 state (server crash/restart, location-shard crash/restart) are
-// exact-time events on shard 0 -- which the kernel always executes
-// single-threaded with respect to that shard's state.
+// apply_sharded splits the schedule by owner: shard-local directives
+// (station crash/restart, link loss, loss bursts, partitions, per-station
+// chaos) become exact-time events inside the owning shard's windows, while
+// barrier-class directives touching only shard-0 state (server
+// crash/restart, location-shard crash/restart) are exact-time events on
+// shard 0 -- which the kernel always executes single-threaded with respect
+// to that shard's state.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +75,7 @@ struct ChaosParams {
 
 class FaultPlan {
  public:
-  // ---- builder API (times relative to apply()) --------------------------
+  // ---- builder API (times relative to apply_sharded()) ------------------
   FaultPlan& crash_station(Duration at, core::StationId s);
   FaultPlan& restart_station(Duration at, core::StationId s);
   FaultPlan& crash_server(Duration at);
@@ -99,7 +98,7 @@ class FaultPlan {
   static FaultPlan chaos(std::uint64_t seed, std::size_t station_count,
                          const ChaosParams& params = {});
 
-  /// Appends every event of `other` (times stay relative to apply()); the
+  /// Appends every event of `other` (times stay relative to the apply); the
   /// scenario compiler uses this to fold seeded chaos blocks into the
   /// scripted schedule, keeping one plan per run.
   FaultPlan& merge(const FaultPlan& other);
@@ -107,19 +106,16 @@ class FaultPlan {
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
 
-  /// Instant (relative to apply()) by which every fault has healed.
+  /// Instant (relative to the apply) by which every fault has healed.
   Duration heal_time() const;
 
-  /// Schedules every event on `sim`'s event queue. The simulation must
-  /// outlive its scheduled events. May be called before start().
-  void apply(core::BipsSimulation& sim) const;
-
-  /// Schedules every event against a sharded simulation, split by owner
-  /// (see the header comment): station faults fire on the owning zone's
-  /// shard, server / location-shard faults on shard 0, and the windowed
-  /// LAN faults (partition, loss burst, link loss) are mirrored onto every
-  /// zone segment they affect. Call before start(), while the group is
-  /// idle. Identical schedules at every thread count.
+  /// Schedules every event on `sim`'s event queues, split by owner (see the
+  /// header comment): station faults fire on the owning zone's shard,
+  /// server / location-shard faults on shard 0, and the windowed LAN faults
+  /// (partition, loss burst, link loss) are mirrored onto every zone
+  /// segment they affect. The simulation must outlive its scheduled events.
+  /// Call while the group is idle (normally before start()). Identical
+  /// schedules at every thread count.
   void apply_sharded(core::ShardedBipsSimulation& sim) const;
 
   /// Human-readable schedule, one line per event (fault-drill narration).

@@ -586,9 +586,9 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
         a.kind = ScenarioAssertion::Kind::kNoInvariantViolations;
       } else if (toks[1] == "min-counter") {
         // assert-final min-counter <cell> <floor>: the named metrics cell
-        // (summed across shards when sharded) must have reached <floor> by
-        // the end of the run. Lets a fault scenario assert *how* it
-        // recovered (e.g. svc.relogin >= 1: via re-login, not snapshot).
+        // (summed across shards) must have reached <floor> by the end of
+        // the run. Lets a fault scenario assert *how* it recovered (e.g.
+        // svc.relogin >= 1: via re-login, not snapshot).
         if (!(ok = want(3, 3))) break;
         double floor_v = 0;
         if (!(ok = parse_double(toks[3], &floor_v) && floor_v >= 0 &&
@@ -690,268 +690,18 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
 
 namespace {
 
-/// Live grader for one `assert-window t0 t1 max-staleness s` directive:
-/// samples every spec.sample_period inside the window and fails the check
-/// as soon as some logged-in user's database record has disagreed with the
-/// mobility ground truth for longer than the bound. Streaks are measured
-/// from the first in-window sample that disagrees.
+/// Live grader for one `assert-window t0 t1 max-staleness s` directive: it
+/// fails the check as soon as some logged-in user's database record has
+/// disagreed with the mobility ground truth for longer than the bound,
+/// measuring streaks from the first in-window sample that disagrees. The
+/// tick grid is t0, t0 + p, t0 + 2p, ..., plus t1 itself (p =
+/// spec.sample_period). A single-shard world drives advance_to from
+/// per-tick events, so the grid is exact. A multi-shard world evaluates
+/// every tick that has elapsed at the first window barrier at or after it
+/// (state as of the barrier, tick time for the streak arithmetic): a
+/// quantisation bounded by one lookahead window (milliseconds against
+/// multi-second staleness bounds) and identical at every thread count.
 struct WindowProbe {
-  const ScenarioSpec* spec = nullptr;
-  BipsSimulation* sim = nullptr;
-  const ScenarioAssertion* a = nullptr;
-  ScenarioCheck* out = nullptr;
-  std::unique_ptr<sim::PeriodicTimer> timer;
-  std::vector<SimTime> since;  // per user; SimTime::max() = in agreement
-  bool done = false;
-
-  void sample() {
-    if (done) return;
-    const SimTime now = sim->simulator().now();
-    for (std::size_t i = 0; i < spec->users.size(); ++i) {
-      const ScenarioUser& u = spec->users[i];
-      BipsClient* c = sim->client(u.userid);
-      bool mismatch = false;
-      mobility::RoomId truth = mobility::kNoRoom;
-      std::optional<StationId> believed;
-      if (c != nullptr && c->logged_in()) {  // BIPS only tracks logged-in users
-        truth = sim->true_room(u.userid);
-        believed = sim->db_room(u.userid);
-        mismatch = truth == mobility::kNoRoom
-                       ? believed.has_value()
-                       : (!believed || *believed != truth);
-      }
-      if (!mismatch) {
-        since[i] = SimTime::max();
-        continue;
-      }
-      if (since[i] == SimTime::max()) since[i] = now;
-      if (now - since[i] > a->staleness) {
-        char buf[224];
-        std::snprintf(
-            buf, sizeof buf,
-            "t=%.1fs: %s stale for %.1fs (bound %.1fs): truth=%s, db=%s",
-            now.to_seconds(), u.name.c_str(), (now - since[i]).to_seconds(),
-            a->staleness.to_seconds(),
-            truth == mobility::kNoRoom
-                ? "absent"
-                : spec->building.room(truth).name.c_str(),
-            believed ? spec->building.room(*believed).name.c_str() : "absent");
-        out->passed = false;
-        out->detail = buf;
-        done = true;
-        timer->stop();
-        return;
-      }
-    }
-  }
-
-  void finish() {
-    if (done) return;
-    done = true;
-    out->passed = true;
-    out->detail.clear();
-    timer->stop();
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<BipsSimulation> run_scenario(const ScenarioSpec& spec) {
-  return run_scenario(spec, {}, nullptr);
-}
-
-std::unique_ptr<BipsSimulation> run_scenario(
-    const ScenarioSpec& spec,
-    const std::function<void(BipsSimulation&)>& pre_run) {
-  return run_scenario(spec, pre_run, nullptr);
-}
-
-std::unique_ptr<BipsSimulation> run_scenario(
-    const ScenarioSpec& spec,
-    const std::function<void(BipsSimulation&)>& pre_run,
-    ScenarioReport* report) {
-  auto sim = std::make_unique<BipsSimulation>(spec.building, spec.config);
-  for (const auto& u : spec.users) {
-    sim->add_user(u.name, u.userid, u.password, u.room);
-  }
-  sim->enable_tracking_metrics(spec.sample_period);
-  BipsSimulation* raw = sim.get();
-
-  // The unified fault schedule rides the event queue (FaultPlan::apply), as
-  // do the behaviour acts below -- first-class sim events, so a
-  // fast-forwarded kernel wakes for each exactly where the exact-slot
-  // kernel executes it.
-  spec.fault_plan.apply(*sim);
-
-  for (const ScenarioAct& a : spec.acts) {
-    const std::string uid = spec.users[a.user].userid;
-    switch (a.kind) {
-      case ScenarioAct::Kind::kWalkTo:
-        sim->simulator().schedule_at(a.at, [raw, uid, room = a.room] {
-          raw->agent(uid)->walk_to(room);
-        });
-        break;
-      case ScenarioAct::Kind::kPowerCycle:
-        sim->simulator().schedule_at(a.at, [raw, uid] {
-          raw->set_radio_shadowed(uid, true);  // the radio goes dark...
-          raw->client(uid)->power_off();       // ...and the session RAM dies
-        });
-        sim->simulator().schedule_at(a.at + a.duration, [raw, uid] {
-          raw->set_radio_shadowed(uid, false);
-          raw->client(uid)->power_on();
-        });
-        break;
-      case ScenarioAct::Kind::kUnreachable:
-        sim->simulator().schedule_at(a.at, [raw, uid] {
-          raw->set_radio_shadowed(uid, true);
-        });
-        sim->simulator().schedule_at(a.at + a.duration, [raw, uid] {
-          raw->set_radio_shadowed(uid, false);
-        });
-        break;
-      case ScenarioAct::Kind::kLoginFlood:
-        sim->simulator().schedule_at(a.at, [raw, uid, n = a.count] {
-          raw->client(uid)->flood_logins(n);
-        });
-        break;
-    }
-  }
-
-  // Assertion graders. All state lives on this stack frame: every grading
-  // event fires at or before run_time (validated by the parser), i.e.
-  // inside the run_for below.
-  std::vector<std::unique_ptr<WindowProbe>> probes;
-  std::unique_ptr<fault::InvariantChecker> inv;
-  std::vector<ScenarioCheck*> inv_checks;
-  std::vector<std::pair<const ScenarioAssertion*, ScenarioCheck*>> min_checks;
-  if (report != nullptr) {
-    report->checks.clear();
-    report->checks.reserve(spec.assertions.size());
-    for (const ScenarioAssertion& a : spec.assertions) {
-      ScenarioCheck c;
-      c.line = a.line;
-      c.what = a.text;
-      c.passed = false;
-      c.detail = "never evaluated";
-      c.invariant = a.kind == ScenarioAssertion::Kind::kNoInvariantViolations;
-      report->checks.push_back(std::move(c));
-    }
-    for (std::size_t i = 0; i < spec.assertions.size(); ++i) {
-      const ScenarioAssertion& a = spec.assertions[i];
-      ScenarioCheck* out = &report->checks[i];
-      switch (a.kind) {
-        case ScenarioAssertion::Kind::kWhereIsAt:
-          sim->simulator().schedule_at(a.at, [raw, sp = &spec, aa = &a, out] {
-            const ScenarioUser& u = sp->users[aa->user];
-            const auto r =
-                raw->server().query(BipsServer::Query::where_is("", u.name));
-            if (aa->room == mobility::kNoRoom) {
-              out->passed = !r.ok();
-              out->detail =
-                  out->passed ? "" : "expected absent, db says " + r.room;
-            } else {
-              const std::string& want = sp->building.room(aa->room).name;
-              out->passed = r.ok() && r.room == want;
-              if (out->passed) {
-                out->detail.clear();
-              } else {
-                out->detail =
-                    "expected " + want + ", db says " +
-                    (r.ok() ? r.room : std::string(proto::to_string(r.status)));
-              }
-            }
-          });
-          break;
-        case ScenarioAssertion::Kind::kMaxStalenessWindow: {
-          auto probe = std::make_unique<WindowProbe>();
-          probe->spec = &spec;
-          probe->sim = raw;
-          probe->a = &a;
-          probe->out = out;
-          probe->since.assign(spec.users.size(), SimTime::max());
-          probe->timer = std::make_unique<sim::PeriodicTimer>(
-              sim->simulator(), spec.sample_period,
-              [p = probe.get()] { p->sample(); });
-          WindowProbe* p = probe.get();
-          sim->simulator().schedule_at(a.at, [p] {
-            p->sample();       // the window includes its first instant
-            p->timer->start();
-          });
-          sim->simulator().schedule_at(a.until, [p] {
-            p->sample();       // ... and its last
-            p->finish();
-          });
-          probes.push_back(std::move(probe));
-          break;
-        }
-        case ScenarioAssertion::Kind::kNoInvariantViolations:
-          if (!inv) {
-            fault::InvariantChecker::Config icfg;
-            icfg.sample_period = spec.sample_period;
-            // The dead-station bound must exceed the failure detector's
-            // timeout + sweep (plus slack for a concurrent server outage).
-            icfg.dead_station_grace =
-                std::max(Duration::seconds(30),
-                         spec.config.server.station_timeout +
-                             spec.config.server.sweep_period +
-                             Duration::seconds(20));
-            inv = std::make_unique<fault::InvariantChecker>(*sim, icfg);
-            inv->start();
-          }
-          inv_checks.push_back(out);
-          break;
-        case ScenarioAssertion::Kind::kMinCounter:
-          min_checks.emplace_back(&a, out);  // graded after the run
-          break;
-      }
-    }
-  }
-
-  if (pre_run) pre_run(*sim);
-  sim->run_for(spec.run_time);
-
-  if (inv) {
-    // The convergence contract only binds once the plan has healed and the
-    // recovery bound has elapsed (the bound the chaos tests use).
-    if (spec.fault_plan.heal_time() + Duration::seconds(40) <=
-        spec.run_time) {
-      inv->check_converged();
-    }
-    inv->stop();
-    std::string detail;
-    for (const std::string& v : inv->violations()) {
-      if (!detail.empty()) detail += "; ";
-      detail += v;
-    }
-    for (ScenarioCheck* out : inv_checks) {
-      out->passed = inv->ok();
-      out->detail = detail;
-    }
-  }
-  for (auto& [aa, out] : min_checks) {
-    const std::uint64_t got =
-        sim->simulator().obs().metrics.counter_value(aa->counter);
-    out->passed = got >= aa->min_count;
-    out->detail = out->passed
-                      ? ""
-                      : aa->counter + " = " + std::to_string(got) +
-                            ", need >= " + std::to_string(aa->min_count);
-  }
-  return sim;
-}
-
-namespace {
-
-/// Sharded counterpart of WindowProbe: grades one `assert-window t0 t1
-/// max-staleness s` directive from the window barriers. The probe keeps
-/// the monolithic tick grid -- t0, t0 + p, t0 + 2p, ..., plus t1 itself --
-/// and evaluates every tick that has elapsed at the first barrier at or
-/// after it (state as of the barrier, tick time for the streak
-/// arithmetic). The quantisation is bounded by one lookahead window
-/// (milliseconds against multi-second staleness bounds) and is identical
-/// at every thread count. Single-shard worlds have no barriers; the runner
-/// drives advance_to from per-tick events instead, making the grid exact.
-struct ShardedWindowProbe {
   const ScenarioSpec* spec = nullptr;
   ShardedBipsSimulation* sim = nullptr;
   const ScenarioAssertion* a = nullptr;
@@ -1021,18 +771,16 @@ struct ShardedWindowProbe {
 
 }  // namespace
 
-std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
+std::unique_ptr<ShardedBipsSimulation> run_scenario(
     const ScenarioSpec& spec, unsigned threads, std::size_t shards,
-    ScenarioReport* report, std::string* error) {
-  // Every scenario directive replays sharded now -- faults split into
-  // shard-local and barrier classes (FaultPlan::apply_sharded), power
-  // cycles ride the replica machinery, and window/invariant assertions
-  // grade at barriers -- so nothing is rejected any more.
-  if (error != nullptr) error->clear();
-
+    const std::function<void(ShardedBipsSimulation&)>& pre_run,
+    ScenarioReport* report) {
   ShardedConfig cfg;
   cfg.base = spec.config;
   cfg.shards = shards;
+  // A one-shard run honours the `zones` directive; multi-shard runs align
+  // the location shards with the simulator zones.
+  if (shards == 1) cfg.service_zones = spec.config.server.zones;
   auto sim = std::make_unique<ShardedBipsSimulation>(spec.building, cfg);
   for (const auto& u : spec.users) {
     sim->add_user(u.name, u.userid, u.password, u.room);
@@ -1040,9 +788,11 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
   sim->enable_tracking_metrics(spec.sample_period);
   ShardedBipsSimulation* raw = sim.get();
 
-  // The unified fault schedule, split by owner: station faults and the
-  // windowed LAN faults fire inside the owning shards' windows, server and
-  // location-shard faults fire on shard 0.
+  // The unified fault schedule rides the event queues, as do the behaviour
+  // acts below -- first-class sim events, so a fast-forwarded kernel wakes
+  // for each exactly where the exact-slot kernel executes it. Station
+  // faults and the windowed LAN faults fire inside the owning shards'
+  // windows, server and location-shard faults on shard 0.
   spec.fault_plan.apply_sharded(*sim);
 
   for (const ScenarioAct& a : spec.acts) {
@@ -1072,12 +822,13 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
     }
   }
 
-  // whereis graders. A multi-shard world grades each one at the first
+  // Assertion graders. All state lives on this stack frame: every grading
+  // instant lies at or before run_time (validated by the parser), i.e.
+  // inside the run_for below. A single-shard world grades whereis as an
+  // event at its instant. A multi-shard world grades each one at the first
   // window barrier at or after its instant (every shard is quiescent
   // there, so the cross-shard server read is safe; the quantisation is
-  // bounded by one window and identical at every thread count). A
-  // single-shard world has no barriers and simply schedules the grade as
-  // an event, like the monolithic runner.
+  // bounded by one window and identical at every thread count).
   struct WhereIsProbe {
     const ScenarioAssertion* a = nullptr;
     ScenarioCheck* out = nullptr;
@@ -1102,7 +853,7 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
       }
     }
   };
-  std::vector<std::unique_ptr<ShardedWindowProbe>> probes;
+  std::vector<std::unique_ptr<WindowProbe>> probes;
   std::unique_ptr<fault::InvariantChecker> inv;
   std::vector<ScenarioCheck*> inv_checks;
   std::vector<std::pair<const ScenarioAssertion*, ScenarioCheck*>> min_checks;
@@ -1134,7 +885,7 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
           }
           break;
         case ScenarioAssertion::Kind::kMaxStalenessWindow: {
-          auto probe = std::make_unique<ShardedWindowProbe>();
+          auto probe = std::make_unique<WindowProbe>();
           probe->spec = &spec;
           probe->sim = raw;
           probe->a = &a;
@@ -1142,9 +893,9 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
           probe->since.assign(spec.users.size(), SimTime::max());
           probe->next_tick = a.at;
           if (single) {
-            // Exact tick grid as in-simulation events, like the monolithic
-            // runner: every sample_period from a.at, plus a.until itself.
-            ShardedWindowProbe* p = probe.get();
+            // Exact tick grid as in-simulation events: every sample_period
+            // from a.at, plus a.until itself.
+            WindowProbe* p = probe.get();
             for (SimTime t = a.at; t < a.until;
                  t = t + spec.sample_period) {
               sim->shard_simulator(0).schedule_at(t,
@@ -1160,37 +911,15 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
           if (!inv) {
             fault::InvariantChecker::Config icfg;
             icfg.sample_period = spec.sample_period;
+            // The dead-station bound must exceed the failure detector's
+            // timeout + sweep (plus slack for a concurrent server outage).
             icfg.dead_station_grace =
                 std::max(Duration::seconds(30),
                          spec.config.server.station_timeout +
                              spec.config.server.sweep_period +
                              Duration::seconds(20));
-            // The same grading as the monolithic runner, over a view of
-            // the sharded world. Barrier-time reads only.
-            fault::InvariantChecker::WorldView view;
-            view.now = [raw, single] {
-              return single ? raw->shard_simulator(0).now()
-                            : raw->group().now();
-            };
-            view.workstation_count = [raw] {
-              return raw->workstation_count();
-            };
-            view.workstation = [raw](StationId s) -> BipsWorkstation& {
-              return raw->workstation(s);
-            };
-            view.server_crashed = [raw] { return raw->server().crashed(); };
-            view.userids = [raw] { return raw->userids(); };
-            view.logged_in = [raw](std::string_view uid) {
-              return raw->active_client(uid).logged_in();
-            };
-            view.db_room = [raw](std::string_view uid) {
-              return raw->db_room(uid);
-            };
-            view.true_room = [raw](std::string_view uid) {
-              return raw->true_room(uid);
-            };
-            inv = std::make_unique<fault::InvariantChecker>(std::move(view),
-                                                            icfg);
+            inv = std::make_unique<fault::InvariantChecker>(
+                fault::world_view(*raw), icfg);
             if (single) {
               inv_timer = std::make_unique<sim::PeriodicTimer>(
                   sim->shard_simulator(0), spec.sample_period,
@@ -1231,14 +960,14 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
     }
   }
 
+  if (pre_run) pre_run(*sim);
   sim->run_for(spec.run_time, threads);
   sim->set_barrier_hook({});  // the probes above die with this frame
 
   if (inv) {
     if (inv_timer) inv_timer->stop();
     // The convergence contract only binds once the plan has healed and the
-    // recovery bound has elapsed (the same bound the monolithic runner and
-    // the chaos tests use).
+    // recovery bound has elapsed (the bound the chaos tests use).
     if (spec.fault_plan.heal_time() + Duration::seconds(40) <=
         spec.run_time) {
       inv->check_converged();

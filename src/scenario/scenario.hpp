@@ -27,9 +27,9 @@
 //   user Alice alice pw lobby
 //   station-timeout 10      # server failure detector (0 = off)
 //   zones 3                 # location-service shards (1 = single database;
-//                           # answers are identical at every count -- the
-//                           # sharded --threads replay always aligns its
-//                           # service shards with the simulator zones)
+//                           # answers are identical at every count -- a
+//                           # multi-shard replay always aligns its service
+//                           # shards with the simulator zones)
 //   run 300                 # simulated seconds
 //   sample 1                # tracking-metric sample period (s)
 //
@@ -55,8 +55,8 @@
 //   assert-at 300 whereis Bob absent      # ... or have no fix at all
 //   assert-window 60 280 max-staleness 45 # DB never lags truth by > 45 s
 //   assert-final no-invariant-violations  # InvariantChecker stayed green
-//   assert-final min-counter svc.relogin 1 # registry counter floor (sharded
-//                                          # replays grade the cross-shard sum)
+//   assert-final min-counter svc.relogin 1 # registry counter floor (graded
+//                                          # on the cross-shard sum)
 //
 // parse_scenario validates everything it can statically -- unknown rooms or
 // users, duplicate users, disconnected buildings, restarts without a
@@ -74,7 +74,6 @@
 #include <vector>
 
 #include "src/core/parallel.hpp"
-#include "src/core/simulation.hpp"
 #include "src/fault/plan.hpp"
 
 namespace bips::core {
@@ -115,7 +114,7 @@ struct ScenarioAssertion {
                             // ground truth for longer than `staleness`
     kNoInvariantViolations, // end of run: InvariantChecker.ok()
     kMinCounter,            // end of run: registry counter >= min_count
-                            // (summed across shards on the sharded path) --
+                            // (summed across shards) --
                             // lets a fault scenario pin down *how* it
                             // recovered, e.g. svc.relogin >= 1 proves the
                             // session came back via an epoch-triggered
@@ -186,46 +185,32 @@ std::optional<ScenarioSpec> parse_scenario(const std::string& text,
 
 /// Builds the simulation, registers the users, enables tracking metrics,
 /// applies the fault plan, schedules every act and runs for the configured
-/// time. The returned simulation can be inspected (tracking(),
-/// server().db(), write_history_csv, ...).
-std::unique_ptr<BipsSimulation> run_scenario(const ScenarioSpec& spec);
-
-/// Same, but invokes `pre_run` on the fully built (not yet run) simulation
-/// first -- the hook for attaching a trace sink or toggling the metrics
-/// registry before any event fires.
-std::unique_ptr<BipsSimulation> run_scenario(
-    const ScenarioSpec& spec,
-    const std::function<void(BipsSimulation&)>& pre_run);
-
-/// Self-checking run: also grades every assertion into `report` (one
-/// ScenarioCheck per assertion directive, file order). When `report` is
-/// null the assertions are not evaluated -- a workload-only run costs
-/// nothing extra.
-std::unique_ptr<BipsSimulation> run_scenario(
-    const ScenarioSpec& spec,
-    const std::function<void(BipsSimulation&)>& pre_run,
-    ScenarioReport* report);
-
-/// Replays the scenario on the sharded parallel harness (DESIGN.md
-/// section 9) with `threads` workers. The harness guarantees the run --
-/// history CSV, presence stream, tracking scorecard, assertion outcomes --
-/// is byte-identical for every thread count, so CI replays a scenario at
-/// `--threads 1` and `--threads 4` and diffs the histories.
+/// time on `shards` zones and `threads` workers (DESIGN.md section 9). The
+/// returned simulation can be inspected (tracking(), server().query(),
+/// write_history_csv, ...).
 ///
-/// The full scenario language replays sharded: every act (walk-to,
-/// power-cycle, unreachable, login-flood), the whole fault schedule
-/// (station/server crash-restarts, location-shard faults, partitions,
-/// loss bursts, link loss, seeded chaos -- split into shard-local and
-/// shard-0 barrier classes by FaultPlan::apply_sharded) and every
-/// assertion kind. `assert-at whereis` and `assert-window max-staleness`
+/// One shard is the paper's single-zone deployment and the default. The
+/// run -- history CSV, presence stream, tracking scorecard, assertion
+/// outcomes -- is byte-identical for every thread count, so CI replays a
+/// scenario at `--threads 1` and `--threads 4` and diffs the histories.
+/// A one-shard run builds `zones N` location shards; a multi-shard run
+/// aligns its location shards with the simulator zones.
+///
+/// `pre_run` is invoked on the fully built (not yet run) simulation -- the
+/// hook for attaching a trace sink or toggling the metrics registry before
+/// any event fires.
+///
+/// With a `report`, every assertion is graded into it (one ScenarioCheck
+/// per assertion directive, file order); without one the assertions are
+/// not evaluated, so a workload-only run costs nothing extra. In a
+/// multi-shard world `assert-at whereis` and `assert-window max-staleness`
 /// grade at the first synchronisation barrier at or after each directive
-/// instant (a deterministic, window-bounded quantisation);
-/// `assert-final no-invariant-violations` runs the same InvariantChecker
-/// grading as the monolithic runner over a barrier-sampled view of the
-/// sharded world. Never returns nullptr; `error` is cleared when non-null
-/// (kept for callers of the old rejecting interface).
-std::unique_ptr<ShardedBipsSimulation> run_scenario_sharded(
-    const ScenarioSpec& spec, unsigned threads, std::size_t shards,
-    ScenarioReport* report, std::string* error);
+/// instant (a deterministic, window-bounded quantisation), and `assert-final
+/// no-invariant-violations` samples the InvariantChecker at barriers; a
+/// single-shard world grades all of them on the exact instants.
+std::unique_ptr<ShardedBipsSimulation> run_scenario(
+    const ScenarioSpec& spec, unsigned threads = 1, std::size_t shards = 1,
+    const std::function<void(ShardedBipsSimulation&)>& pre_run = {},
+    ScenarioReport* report = nullptr);
 
 }  // namespace bips::core

@@ -16,7 +16,7 @@
 #include "src/baseband/inquiry_scan.hpp"
 #include "src/baseband/piconet.hpp"
 #include "src/baseband/radio.hpp"
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 #include "src/fault/plan.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/simulator.hpp"
@@ -324,7 +324,8 @@ ModeCapture building_run(std::uint64_t seed, bool exact, bool chaos = false) {
   cfg.channel.exact_slots = exact;
   cfg.workstation.scheduler.inquiry_length = Duration::from_seconds(1.28);
   cfg.workstation.scheduler.cycle_length = Duration::from_seconds(5.12);
-  core::BipsSimulation sim(mobility::Building::grid(2, 2), cfg);
+  core::ShardedBipsSimulation sim(mobility::Building::grid(2, 2),
+                                  core::ShardedConfig{.base = cfg});
   for (int i = 0; i < 6; ++i) {
     sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                  static_cast<mobility::RoomId>(i % 4));
@@ -336,13 +337,14 @@ ModeCapture building_run(std::uint64_t seed, bool exact, bool chaos = false) {
     cp.window = Duration::seconds(20);
     cp.min_outage = Duration::seconds(3);
     cp.max_outage = Duration::seconds(8);
-    fault::FaultPlan::chaos(seed, sim.workstation_count(), cp).apply(sim);
+    fault::FaultPlan::chaos(seed, sim.workstation_count(), cp)
+        .apply_sharded(sim);
   }
   std::ostringstream trace_os;
   obs::JsonlSink sink(trace_os);
-  sim.simulator().obs().tracer.set_sink(&sink);
+  sim.shard_simulator(0).obs().tracer.set_sink(&sink);
   sim.run_for(Duration::seconds(45));
-  sim.simulator().obs().tracer.set_sink(nullptr);
+  sim.shard_simulator(0).obs().tracer.set_sink(nullptr);
   sink.flush();
 
   ModeCapture cap;
@@ -358,11 +360,10 @@ ModeCapture building_run(std::uint64_t seed, bool exact, bool chaos = false) {
       cap.presence += '\n';
     }
   }
-  cap.executed = sim.simulator().events_executed();
-  cap.skipped =
-      sim.simulator().obs().metrics.counter_value("kernel.skipped_slots");
-  cap.elided_polls =
-      sim.simulator().obs().metrics.counter_value("piconet.elided_polls");
+  cap.executed = sim.shard_simulator(0).events_executed();
+  const auto& metrics = sim.shard_simulator(0).obs().metrics;
+  cap.skipped = metrics.counter_value("kernel.skipped_slots");
+  cap.elided_polls = metrics.counter_value("piconet.elided_polls");
   return cap;
 }
 

@@ -6,13 +6,15 @@
 #include <string>
 #include <vector>
 
+#include "src/core/parallel.hpp"
 #include "src/fault/invariants.hpp"
 #include "src/fault/plan.hpp"
 
 namespace bips::fault {
 namespace {
 
-using core::BipsSimulation;
+using core::ShardedBipsSimulation;
+using core::ShardedConfig;
 using core::SimulationConfig;
 using core::StationId;
 
@@ -29,12 +31,23 @@ SimulationConfig drill_config() {
   return cfg;
 }
 
-std::size_t located_count(BipsSimulation& sim) {
+std::size_t located_count(ShardedBipsSimulation& sim) {
   std::size_t n = 0;
   for (const std::string& u : sim.userids()) {
     if (sim.db_room(u)) ++n;
   }
   return n;
+}
+
+/// Samples `checker` once per simulated second on the one-shard world's
+/// simulator.
+std::unique_ptr<sim::PeriodicTimer> sample_every_second(
+    ShardedBipsSimulation& sim, InvariantChecker& checker) {
+  auto timer = std::make_unique<sim::PeriodicTimer>(
+      sim.shard_simulator(0), Duration::seconds(1),
+      [&checker] { checker.sample(); });
+  timer->start();
+  return timer;
 }
 
 std::string join(const std::vector<std::string>& v) {
@@ -69,8 +82,8 @@ TEST(FaultPlan, ChaosIsDeterministicAndHeals) {
 
 TEST(FaultPlan, ShardFaultsAreFirstClassEvents) {
   // crash_shard / restart_shard ride the same plan machinery as the other
-  // kinds: ordered by time, described for humans, and replayable on the
-  // monolithic harness (the sharded split is exercised in test_parallel).
+  // kinds: ordered by time and described for humans (their application on
+  // shard 0 is exercised in test_parallel).
   FaultPlan plan;
   plan.crash_shard(Duration::seconds(40), 2)
       .restart_shard(Duration::seconds(55), 2);
@@ -93,14 +106,15 @@ TEST(FaultPlan, ShardFaultsAreFirstClassEvents) {
 TEST(FaultRecovery, ServerCrashResyncUnderLoss) {
   SimulationConfig cfg = drill_config();
   cfg.lan.loss = 0.05;
-  BipsSimulation sim(mobility::Building::corridor(3), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(3),
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.add_user("Bob", "bob", "pw", 1);
   sim.add_user("Carol", "carol", "pw", 2);
 
   sim.run_for(Duration::seconds(80));
   ASSERT_EQ(located_count(sim), 3u) << "deployment failed to enroll everyone";
-  ASSERT_TRUE(sim.client("alice")->logged_in());
+  ASSERT_TRUE(sim.active_client("alice").logged_in());
   ASSERT_EQ(sim.server().epoch(), 1u);
 
   sim.server().crash();
@@ -111,18 +125,12 @@ TEST(FaultRecovery, ServerCrashResyncUnderLoss) {
   sim.run_for(Duration::seconds(10));
   EXPECT_EQ(sim.server().epoch(), 2u);
   EXPECT_EQ(located_count(sim), 3u) << "resync did not reconverge in 10 s";
-  EXPECT_GE(sim.simulator().obs().metrics.counter_value(
-                "server.syncs_received"),
-            3u);
-  EXPECT_GE(sim.simulator().obs().metrics.counter_value(
-                "server.presences_restored"),
-            3u);
+  EXPECT_GE(sim.metric_sum("server.syncs_received"), 3u);
+  EXPECT_GE(sim.metric_sum("server.presences_restored"), 3u);
 
   // Sessions came back from the snapshots' hints: a name query works again
   // even though no handheld re-logged-in.
-  EXPECT_GE(sim.simulator().obs().metrics.counter_value(
-                "server.sessions_restored"),
-            3u);
+  EXPECT_GE(sim.metric_sum("server.sessions_restored"), 3u);
   EXPECT_EQ(sim.server()
                 .query(core::BipsServer::Query::where_is("", "Alice"))
                 .status,
@@ -133,12 +141,13 @@ TEST(FaultRecovery, ServerCrashResyncUnderLoss) {
 // expire its users (a dead-to-us station cannot send absences), and the
 // heal must relocate them via the unicast resync round.
 TEST(FaultRecovery, PartitionAndHealRelocatesUsers) {
-  BipsSimulation sim(mobility::Building::corridor(2), drill_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = drill_config()});
   sim.add_user("Alice", "alice", "pw", 1);  // served by station 1
 
   FaultPlan plan;
   plan.partition_stations(Duration::seconds(60), Duration::seconds(30), {1});
-  plan.apply(sim);
+  plan.apply_sharded(sim);
 
   sim.run_for(Duration::seconds(60));
   ASSERT_EQ(sim.db_room("alice"), 1u);
@@ -146,21 +155,15 @@ TEST(FaultRecovery, PartitionAndHealRelocatesUsers) {
   // Inside the partition, past the detector bound: alice is expired.
   sim.run_for(Duration::seconds(20));
   EXPECT_EQ(sim.db_room("alice"), std::nullopt);
-  EXPECT_GE(sim.simulator().obs().metrics.counter_value(
-                "server.stations_expired"),
-            1u);
+  EXPECT_GE(sim.metric_sum("server.stations_expired"), 1u);
 
   // Heal at t=90; the station's next heartbeat triggers a unicast
   // SyncRequest because nothing else would ever repopulate the records
   // (alice never moved, so station 1 has no new delta to send).
   sim.run_for(Duration::seconds(20));
   EXPECT_EQ(sim.db_room("alice"), 1u);
-  EXPECT_GE(sim.simulator().obs().metrics.counter_value(
-                "server.resyncs_requested"),
-            1u);
-  EXPECT_GE(sim.simulator().obs().metrics.counter_value(
-                "server.syncs_received"),
-            1u);
+  EXPECT_GE(sim.metric_sum("server.resyncs_requested"), 1u);
+  EXPECT_GE(sim.metric_sum("server.syncs_received"), 1u);
 }
 
 // Seeded chaos: random station/server crashes, a partition and a loss burst
@@ -171,16 +174,17 @@ TEST(FaultRecovery, ChaosSeedsKeepInvariants) {
     SimulationConfig cfg = drill_config();
     cfg.seed = seed;
     cfg.lan.loss = 0.01;  // a little background loss on top of the faults
-    BipsSimulation sim(mobility::Building::corridor(3), cfg);
+    ShardedBipsSimulation sim(mobility::Building::corridor(3),
+                              ShardedConfig{.base = cfg});
     sim.add_user("Alice", "alice", "pw", 0);
     sim.add_user("Bob", "bob", "pw", 1);
     sim.add_user("Carol", "carol", "pw", 2);
 
     const FaultPlan plan = FaultPlan::chaos(seed, sim.workstation_count());
-    plan.apply(sim);
+    plan.apply_sharded(sim);
 
-    InvariantChecker checker(sim);
-    checker.start();
+    InvariantChecker checker(world_view(sim), InvariantChecker::Config{});
+    const auto timer = sample_every_second(sim, checker);
 
     // Boot + faulted window + recovery bound past the last heal.
     sim.run_for(plan.heal_time() + Duration::seconds(40));
@@ -202,9 +206,10 @@ TEST(FaultRecovery, ChaosSeedsKeepInvariants) {
 // green, and the zone-scoped unicast SyncRequest repairs the crashed slice
 // after restart without touching the others.
 TEST(ShardFault, CrashedShardDegradesOnlyItsZone) {
-  SimulationConfig cfg = drill_config();
-  cfg.server.zones = 3;  // one location shard per corridor room
-  BipsSimulation sim(mobility::Building::corridor(3), cfg);
+  // One simulator zone, one location shard per corridor room.
+  ShardedBipsSimulation sim(mobility::Building::corridor(3),
+                            ShardedConfig{.base = drill_config(),
+                                          .service_zones = 3});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.add_user("Bob", "bob", "pw", 1);
   sim.add_user("Carol", "carol", "pw", 2);
@@ -219,12 +224,13 @@ TEST(ShardFault, CrashedShardDegradesOnlyItsZone) {
     icfg.station_filter = [&svc, zone](StationId s) {
       return svc.zone_of(s) == zone;
     };
-    return std::make_unique<InvariantChecker>(sim, std::move(icfg));
+    return std::make_unique<InvariantChecker>(world_view(sim),
+                                              std::move(icfg));
   };
   auto check0 = zone_checker(0);
   auto check2 = zone_checker(2);
-  check0->start();
-  check2->start();
+  const auto timer0 = sample_every_second(sim, *check0);
+  const auto timer2 = sample_every_second(sim, *check2);
 
   sim.run_for(Duration::seconds(80));
   ASSERT_EQ(located_count(sim), 3u) << "deployment failed to enroll everyone";
@@ -282,25 +288,26 @@ TEST(ShardFault, ChaosStaysGreenPerZoneWithShardedService) {
     SimulationConfig cfg = drill_config();
     cfg.seed = seed;
     cfg.lan.loss = 0.01;
-    cfg.server.zones = 3;
-    BipsSimulation sim(mobility::Building::corridor(3), cfg);
+    ShardedBipsSimulation sim(mobility::Building::corridor(3),
+                              ShardedConfig{.base = cfg, .service_zones = 3});
     sim.add_user("Alice", "alice", "pw", 0);
     sim.add_user("Bob", "bob", "pw", 1);
     sim.add_user("Carol", "carol", "pw", 2);
 
     const FaultPlan plan = FaultPlan::chaos(seed, sim.workstation_count());
-    plan.apply(sim);
+    plan.apply_sharded(sim);
 
     const auto& svc = sim.server().locations();
     std::vector<std::unique_ptr<InvariantChecker>> checkers;
+    std::vector<std::unique_ptr<sim::PeriodicTimer>> timers;
     for (std::size_t zone = 0; zone < svc.shard_count(); ++zone) {
       InvariantChecker::Config icfg;
       icfg.station_filter = [&svc, zone](StationId s) {
         return svc.zone_of(s) == zone;
       };
       checkers.push_back(
-          std::make_unique<InvariantChecker>(sim, std::move(icfg)));
-      checkers.back()->start();
+          std::make_unique<InvariantChecker>(world_view(sim), std::move(icfg)));
+      timers.push_back(sample_every_second(sim, *checkers.back()));
     }
 
     sim.run_for(plan.heal_time() + Duration::seconds(40));

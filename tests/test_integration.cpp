@@ -6,7 +6,7 @@
 #include <optional>
 #include <sstream>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::core {
 namespace {
@@ -25,23 +25,23 @@ SimulationConfig fast_config() {
 }
 
 TEST(Integration, SingleUserEnrollsLogsInAndIsLocated) {
-  BipsSimulation sim(mobility::Building::corridor(1), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.run_for(Duration::seconds(60));
 
-  BipsClient* alice = sim.client("alice");
-  ASSERT_NE(alice, nullptr);
-  EXPECT_TRUE(alice->connected());
-  EXPECT_TRUE(alice->logged_in());
+  BipsClient& alice = sim.active_client("alice");
+  EXPECT_TRUE(alice.connected());
+  EXPECT_TRUE(alice.logged_in());
   EXPECT_EQ(sim.db_room("alice"), 0u);
-  EXPECT_TRUE(sim.workstation(0).tracks(alice->addr()));
-  EXPECT_GE(sim.simulator().obs().metrics.counter_value("server.logins_ok"),
-            1u);
+  EXPECT_TRUE(sim.workstation(0).tracks(alice.addr()));
+  EXPECT_GE(sim.metric_sum("server.logins_ok"), 1u);
   EXPECT_GE(sim.workstation(0).stats().presences_reported, 1u);
 }
 
 TEST(Integration, WrongPasswordNeverLogsIn) {
-  BipsSimulation sim(mobility::Building::corridor(1), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   // Corrupt the stored credentials by registering through the simulation
   // but logging in with a different password: craft via a second user whose
@@ -52,17 +52,18 @@ TEST(Integration, WrongPasswordNeverLogsIn) {
 }
 
 TEST(Integration, TwoUsersWhereIsEndToEnd) {
-  BipsSimulation sim(mobility::Building::corridor(2), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw-a", 0);
   sim.add_user("Bob", "bob", "pw-b", 1);
   sim.run_for(Duration::seconds(60));
 
-  ASSERT_TRUE(sim.client("alice")->logged_in());
-  ASSERT_TRUE(sim.client("bob")->logged_in());
+  ASSERT_TRUE(sim.active_client("alice").logged_in());
+  ASSERT_TRUE(sim.active_client("bob").logged_in());
   ASSERT_EQ(sim.db_room("bob"), 1u);
 
   std::optional<proto::WhereIsReply> reply;
-  ASSERT_TRUE(sim.client("alice")->where_is(
+  ASSERT_TRUE(sim.active_client("alice").where_is(
       "Bob", [&](const proto::WhereIsReply& r) { reply = r; }));
   sim.run_for(Duration::seconds(2));
   ASSERT_TRUE(reply.has_value());
@@ -71,16 +72,17 @@ TEST(Integration, TwoUsersWhereIsEndToEnd) {
 }
 
 TEST(Integration, PathQueryEndToEnd) {
-  BipsSimulation sim(mobility::Building::corridor(4), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(4),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw-a", 0);
   sim.add_user("Bob", "bob", "pw-b", 3);
   sim.run_for(Duration::seconds(60));
-  ASSERT_TRUE(sim.client("alice")->logged_in());
-  ASSERT_TRUE(sim.client("bob")->logged_in());
+  ASSERT_TRUE(sim.active_client("alice").logged_in());
+  ASSERT_TRUE(sim.active_client("bob").logged_in());
   ASSERT_EQ(sim.db_room("bob"), 3u);
 
   std::optional<proto::PathReply> reply;
-  ASSERT_TRUE(sim.client("alice")->find_path_to(
+  ASSERT_TRUE(sim.active_client("alice").find_path_to(
       "Bob", [&](const proto::PathReply& r) { reply = r; }));
   sim.run_for(Duration::seconds(2));
   ASSERT_TRUE(reply.has_value());
@@ -91,16 +93,17 @@ TEST(Integration, PathQueryEndToEnd) {
 }
 
 TEST(Integration, QueryForOfflineUserReportsNotLoggedIn) {
-  BipsSimulation sim(mobility::Building::corridor(2), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw-a", 0);
   // Bob is registered at the server but his handheld never starts.
   ASSERT_TRUE(
       sim.server().registry().register_user("bob", "Bob", "pw-b", 99));
   sim.run_for(Duration::seconds(60));
-  ASSERT_TRUE(sim.client("alice")->logged_in());
+  ASSERT_TRUE(sim.active_client("alice").logged_in());
 
   std::optional<proto::WhereIsReply> reply;
-  ASSERT_TRUE(sim.client("alice")->where_is(
+  ASSERT_TRUE(sim.active_client("alice").where_is(
       "Bob", [&](const proto::WhereIsReply& r) { reply = r; }));
   sim.run_for(Duration::seconds(2));
   ASSERT_TRUE(reply.has_value());
@@ -108,11 +111,13 @@ TEST(Integration, QueryForOfflineUserReportsNotLoggedIn) {
 }
 
 TEST(Integration, MovingDeviceIsReattributedToTheNewRoom) {
-  BipsSimulation sim(mobility::Building::corridor(2), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   // Take manual control of the handheld's position.
   Vec2 pos = sim.building().room(0).center;
-  sim.client("alice")->device().set_position_provider([&pos] { return pos; });
+  sim.active_client("alice").device().set_position_provider(
+      [&pos] { return pos; });
 
   sim.run_for(Duration::seconds(60));
   ASSERT_EQ(sim.db_room("alice"), 0u);
@@ -120,15 +125,17 @@ TEST(Integration, MovingDeviceIsReattributedToTheNewRoom) {
   pos = sim.building().room(1).center;  // teleport to the next room
   sim.run_for(Duration::seconds(90));
   EXPECT_EQ(sim.db_room("alice"), 1u);
-  EXPECT_FALSE(sim.workstation(0).tracks(sim.client("alice")->addr()));
-  EXPECT_TRUE(sim.workstation(1).tracks(sim.client("alice")->addr()));
+  EXPECT_FALSE(sim.workstation(0).tracks(sim.active_client("alice").addr()));
+  EXPECT_TRUE(sim.workstation(1).tracks(sim.active_client("alice").addr()));
 }
 
 TEST(Integration, DeviceLeavingTheBuildingBecomesAbsent) {
-  BipsSimulation sim(mobility::Building::corridor(1), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   Vec2 pos = sim.building().room(0).center;
-  sim.client("alice")->device().set_position_provider([&pos] { return pos; });
+  sim.active_client("alice").device().set_position_provider(
+      [&pos] { return pos; });
   sim.run_for(Duration::seconds(60));
   ASSERT_TRUE(sim.db_room("alice").has_value());
 
@@ -142,7 +149,8 @@ TEST(Integration, TrackingAccuracyWithWalkingUsers) {
   SimulationConfig cfg = fast_config();
   cfg.mobility.pause_min = Duration::seconds(20);
   cfg.mobility.pause_max = Duration::seconds(60);
-  BipsSimulation sim(mobility::Building::department(), cfg);
+  ShardedBipsSimulation sim(mobility::Building::department(),
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw-a", 0);
   sim.add_user("Bob", "bob", "pw-b", 3);
   sim.add_user("Carol", "carol", "pw-c", 5);
@@ -161,7 +169,8 @@ TEST(Integration, TrackingAccuracyWithWalkingUsers) {
 }
 
 TEST(Integration, PresenceTrafficIsDeltaOnly) {
-  BipsSimulation sim(mobility::Building::corridor(1), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.run_for(Duration::seconds(120));
   // A stationary user generates the discovery presence plus the
@@ -177,14 +186,15 @@ TEST(Integration, DeterministicUnderSameSeed) {
     cfg.seed = seed;
     cfg.mobility.pause_min = Duration::seconds(10);
     cfg.mobility.pause_max = Duration::seconds(30);
-    BipsSimulation sim(mobility::Building::department(), cfg);
+    ShardedBipsSimulation sim(mobility::Building::department(),
+                              ShardedConfig{.base = cfg});
     sim.add_user("Alice", "alice", "pw-a", 0);
     sim.add_user("Bob", "bob", "pw-b", 4);
     sim.enable_tracking_metrics(Duration::seconds(1));
     sim.run_for(Duration::seconds(120));
     return std::tuple{sim.tracking().samples, sim.tracking().correct_room,
                       sim.server().locations().stats().presence_updates,
-                      sim.simulator().events_executed()};
+                      sim.shard_simulator(0).events_executed()};
   };
   EXPECT_EQ(run_one(1234), run_one(1234));
   EXPECT_NE(run_one(1234), run_one(4321));
@@ -199,16 +209,17 @@ namespace bips::core {
 namespace {
 
 TEST(IntegrationExt, WhoIsInEndToEnd) {
-  BipsSimulation sim(mobility::Building::corridor(2), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw-a", 0);
   sim.add_user("Bob", "bob", "pw-b", 0);    // same room as alice
   sim.add_user("Carol", "carol", "pw-c", 1);
   sim.run_for(Duration::seconds(60));
-  ASSERT_TRUE(sim.client("alice")->logged_in());
-  ASSERT_TRUE(sim.client("bob")->logged_in());
+  ASSERT_TRUE(sim.active_client("alice").logged_in());
+  ASSERT_TRUE(sim.active_client("bob").logged_in());
 
   std::optional<proto::WhoIsInReply> reply;
-  ASSERT_TRUE(sim.client("alice")->who_is_in(
+  ASSERT_TRUE(sim.active_client("alice").who_is_in(
       "room-0", [&](const proto::WhoIsInReply& r) { reply = r; }));
   sim.run_for(Duration::seconds(2));
   ASSERT_TRUE(reply.has_value());
@@ -217,15 +228,17 @@ TEST(IntegrationExt, WhoIsInEndToEnd) {
 }
 
 TEST(IntegrationExt, HistoryQueryEndToEnd) {
-  BipsSimulation sim(mobility::Building::corridor(2), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw-a", 0);
   sim.add_user("Bob", "bob", "pw-b", 0);
   Vec2 bob_pos = sim.building().room(0).center;
-  sim.client("bob")->device().set_position_provider([&] { return bob_pos; });
+  sim.active_client("bob").device().set_position_provider(
+      [&] { return bob_pos; });
 
   sim.run_for(Duration::seconds(60));
   ASSERT_EQ(sim.db_room("bob"), 0u);
-  const SimTime was_here = sim.simulator().now();
+  const SimTime was_here = sim.shard_simulator(0).now();
 
   bob_pos = sim.building().room(1).center;
   sim.run_for(Duration::seconds(60));
@@ -233,7 +246,7 @@ TEST(IntegrationExt, HistoryQueryEndToEnd) {
 
   // "Where was Bob a minute ago?"
   std::optional<proto::HistoryReply> reply;
-  ASSERT_TRUE(sim.client("alice")->where_was(
+  ASSERT_TRUE(sim.active_client("alice").where_was(
       "Bob", was_here, [&](const proto::HistoryReply& r) { reply = r; }));
   sim.run_for(Duration::seconds(2));
   ASSERT_TRUE(reply.has_value());
@@ -243,17 +256,19 @@ TEST(IntegrationExt, HistoryQueryEndToEnd) {
 }
 
 TEST(IntegrationExt, MovementSubscriptionEndToEnd) {
-  BipsSimulation sim(mobility::Building::corridor(2), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw-a", 0);
   sim.add_user("Bob", "bob", "pw-b", 0);
   Vec2 bob_pos = sim.building().room(0).center;
-  sim.client("bob")->device().set_position_provider([&] { return bob_pos; });
+  sim.active_client("bob").device().set_position_provider(
+      [&] { return bob_pos; });
   sim.run_for(Duration::seconds(60));
-  ASSERT_TRUE(sim.client("alice")->logged_in());
+  ASSERT_TRUE(sim.active_client("alice").logged_in());
 
   std::vector<proto::MovementEvent> events;
   std::optional<proto::SubscribeReply> sub_result;
-  ASSERT_TRUE(sim.client("alice")->subscribe(
+  ASSERT_TRUE(sim.active_client("alice").subscribe(
       "Bob", [&](const proto::MovementEvent& ev) { events.push_back(ev); },
       [&](const proto::SubscribeReply& r) { sub_result = r; }));
   sim.run_for(Duration::seconds(2));
@@ -272,7 +287,7 @@ TEST(IntegrationExt, MovementSubscriptionEndToEnd) {
   EXPECT_TRUE(entered_room1);
 
   // After unsubscribing the stream stops.
-  ASSERT_TRUE(sim.client("alice")->unsubscribe("Bob"));
+  ASSERT_TRUE(sim.active_client("alice").unsubscribe("Bob"));
   sim.run_for(Duration::seconds(2));
   const auto count = events.size();
   bob_pos = sim.building().room(0).center;
@@ -283,10 +298,12 @@ TEST(IntegrationExt, MovementSubscriptionEndToEnd) {
 TEST(IntegrationExt, PresenceStreamSurvivesLossyLan) {
   SimulationConfig cfg = fast_config();
   cfg.lan.loss = 0.4;  // drop 40% of every datagram, both directions
-  BipsSimulation sim(mobility::Building::corridor(2), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw", 0);
   Vec2 pos = sim.building().room(0).center;
-  sim.client("alice")->device().set_position_provider([&pos] { return pos; });
+  sim.active_client("alice").device().set_position_provider(
+      [&pos] { return pos; });
 
   sim.run_for(Duration::seconds(90));
   ASSERT_EQ(sim.db_room("alice"), 0u);
@@ -305,7 +322,8 @@ TEST(IntegrationExt, PresenceStreamSurvivesLossyLan) {
 }
 
 TEST(IntegrationExt, PresenceStreamQuiescesOnReliableLan) {
-  BipsSimulation sim(mobility::Building::corridor(1), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.run_for(Duration::seconds(120));
   EXPECT_EQ(sim.workstation(0).stats().retransmissions, 0u);
@@ -324,7 +342,8 @@ TEST(IntegrationExt, StaggeredInquirySlotsNeverOverlap) {
   SimulationConfig cfg = fast_config();
   cfg.stagger_inquiry = true;  // 2 stations, cycle 5.12, inquiry 2.56:
                                // offsets 0 and 2.56 -> complementary slots
-  BipsSimulation sim(mobility::Building::corridor(2), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.start();
   int samples_both = 0, samples_any = 0;
@@ -342,7 +361,8 @@ TEST(IntegrationExt, StaggeredInquirySlotsNeverOverlap) {
 TEST(IntegrationExt, SynchronizedInquirySlotsDoOverlap) {
   SimulationConfig cfg = fast_config();
   cfg.stagger_inquiry = false;
-  BipsSimulation sim(mobility::Building::corridor(2), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.start();
   int samples_both = 0;
@@ -357,7 +377,8 @@ TEST(IntegrationExt, SynchronizedInquirySlotsDoOverlap) {
 }
 
 TEST(IntegrationExt, HistoryCsvExport) {
-  BipsSimulation sim(mobility::Building::corridor(1), fast_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = fast_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.run_for(Duration::seconds(60));
   ASSERT_TRUE(sim.db_room("alice").has_value());
@@ -386,7 +407,8 @@ namespace {
 TEST(IntegrationExt, TwentyUsersInOneRoomAllTracked) {
   // More users than AM_ADDRs: park mode must carry the overflow.
   SimulationConfig cfg = fast_config();
-  BipsSimulation sim(mobility::Building::corridor(1), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = cfg});
   for (int i = 0; i < 20; ++i) {
     sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                  0);
@@ -396,7 +418,7 @@ TEST(IntegrationExt, TwentyUsersInOneRoomAllTracked) {
   int logged_in = 0, tracked = 0;
   for (int i = 0; i < 20; ++i) {
     const std::string id = "u" + std::to_string(i);
-    if (sim.client(id)->logged_in()) ++logged_in;
+    if (sim.active_client(id).logged_in()) ++logged_in;
     if (sim.db_room(id) == 0u) ++tracked;
   }
   EXPECT_GE(logged_in, 18);  // allow a couple of slow enrollments
@@ -409,16 +431,17 @@ TEST(IntegrationExt, TwentyUsersInOneRoomAllTracked) {
 
 TEST(IntegrationExt, ParkedClientCanStillQuery) {
   SimulationConfig cfg = fast_config();
-  BipsSimulation sim(mobility::Building::corridor(2), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw-a", 0);
   sim.add_user("Bob", "bob", "pw-b", 1);
   sim.run_for(Duration::seconds(60));
-  ASSERT_TRUE(sim.client("alice")->logged_in());
+  ASSERT_TRUE(sim.active_client("alice").logged_in());
   // Alice has been parked after login (the default policy).
-  ASSERT_TRUE(sim.client("alice")->link().parked());
+  ASSERT_TRUE(sim.active_client("alice").link().parked());
 
   std::optional<proto::WhereIsReply> reply;
-  ASSERT_TRUE(sim.client("alice")->where_is(
+  ASSERT_TRUE(sim.active_client("alice").where_is(
       "Bob", [&](const proto::WhereIsReply& r) { reply = r; }));
   sim.run_for(Duration::seconds(2));
   ASSERT_TRUE(reply.has_value());
@@ -442,7 +465,8 @@ TEST(IntegrationExt, InterlacedHandheldsEnrollFromEitherTrain) {
   cfg.workstation.scheduler.inquiry_length = Duration::from_seconds(1.28);
   cfg.workstation.scheduler.cycle_length = Duration::from_seconds(5.12);
   cfg.slave.inquiry_scan.interlaced = true;
-  BipsSimulation sim(mobility::Building::corridor(1), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = cfg});
   for (int i = 0; i < 6; ++i) {
     sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                  0);
@@ -450,7 +474,7 @@ TEST(IntegrationExt, InterlacedHandheldsEnrollFromEitherTrain) {
   sim.run_for(Duration::seconds(90));
   int logged_in = 0;
   for (int i = 0; i < 6; ++i) {
-    if (sim.client("u" + std::to_string(i))->logged_in()) ++logged_in;
+    if (sim.active_client("u" + std::to_string(i)).logged_in()) ++logged_in;
   }
   EXPECT_EQ(logged_in, 6);
 }
@@ -467,29 +491,30 @@ TEST(IntegrationExt, CrashedWorkstationExpiresAndRecoversOnRestart) {
   SimulationConfig cfg = fast_config();
   cfg.server.station_timeout = Duration::seconds(10);
   cfg.server.sweep_period = Duration::seconds(2);
-  BipsSimulation sim(mobility::Building::corridor(1), cfg);
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.run_for(Duration::seconds(60));
   ASSERT_EQ(sim.db_room("alice"), 0u);
-  ASSERT_TRUE(sim.client("alice")->connected());
+  ASSERT_TRUE(sim.active_client("alice").connected());
 
   // The room's workstation dies.
   sim.workstation(0).crash();
   sim.run_for(Duration::seconds(20));
   // The handheld saw its link drop and is scanning again; the server's
   // failure detector expired the stale presence record.
-  EXPECT_FALSE(sim.client("alice")->connected());
+  EXPECT_FALSE(sim.active_client("alice").connected());
   EXPECT_FALSE(sim.db_room("alice").has_value());
   EXPECT_GE(
-      sim.simulator().obs().metrics.counter_value("server.stations_expired"),
+      sim.metric_sum("server.stations_expired"),
       1u);
 
   // Power restored: the device is re-discovered, re-enrolled, re-tracked.
   sim.workstation(0).restart();
   sim.run_for(Duration::seconds(60));
-  EXPECT_TRUE(sim.client("alice")->connected());
+  EXPECT_TRUE(sim.active_client("alice").connected());
   EXPECT_EQ(sim.db_room("alice"), 0u);
-  EXPECT_TRUE(sim.client("alice")->logged_in());  // session survived
+  EXPECT_TRUE(sim.active_client("alice").logged_in());  // session survived
 }
 
 TEST(IntegrationExt, NeighbourCoversForACrashedStation) {
@@ -504,7 +529,7 @@ TEST(IntegrationExt, NeighbourCoversForACrashedStation) {
   const auto left = b.add_room("left", {0, 0});
   const auto right = b.add_room("right", {8, 0});
   b.connect(left, right);
-  BipsSimulation sim(std::move(b), cfg);
+  ShardedBipsSimulation sim(std::move(b), ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw", left);
   sim.set_position_provider("alice", [] { return Vec2{4, 0}; });
   sim.run_for(Duration::seconds(60));

@@ -128,6 +128,7 @@ TEST(Lookahead, DeriveWindowSurfacesTheZeroLatencyLanError) {
   cfg.base.lan.base_latency = Duration(0);
   cfg.base.lan.jitter = Duration(0);
   cfg.uplink_extra = Duration(0);
+  cfg.shards = 4;  // one shard needs no window at all
   std::string err;
   EXPECT_FALSE(ShardedBipsSimulation::derive_window(cfg, &err).has_value());
   EXPECT_NE(err.find("zero-latency"), std::string::npos) << err;
@@ -501,6 +502,7 @@ TEST(ShardedSimulation, ScriptedActsAndShadowFollowTheOwner) {
   // the final ownership and database assertions are exact.
   cfg.base.mobility.pause_min = Duration::seconds(100000);
   cfg.base.mobility.pause_max = Duration::seconds(100000);
+  cfg.shards = 4;
   ShardedBipsSimulation sim(mobility::Building::grid(2, 4), cfg);
   sim.add_user("Ada", "ada", "pw", 0);      // zone 0
   sim.add_user("Grace", "grace", "pw", 7);  // zone 3 (2x4 grid, 4 shards)

@@ -240,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(Jitters, LanJitterSweep,
 
 // ---- sweep 7: randomized full-system soak ----------------------------------
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::core {
 namespace {
@@ -276,7 +276,7 @@ TEST_P(SystemSoak, InvariantsHoldOnRandomDeployments) {
   cfg.mobility.pause_min = Duration::seconds(5);
   cfg.mobility.pause_max = Duration::seconds(30);
 
-  BipsSimulation sim(std::move(b), cfg);
+  ShardedBipsSimulation sim(std::move(b), ShardedConfig{.base = cfg});
   const int users = 1 + static_cast<int>(rng.uniform(10));
   for (int i = 0; i < users; ++i) {
     sim.add_user("User" + std::to_string(i), "u" + std::to_string(i), "pw",
@@ -304,9 +304,9 @@ TEST_P(SystemSoak, InvariantsHoldOnRandomDeployments) {
       EXPECT_LT(*room, sim.workstation_count());
       ++present;
     }
-    if (sim.client(id)->logged_in()) {
+    if (sim.active_client(id).logged_in()) {
       EXPECT_TRUE(db.logged_in(id));
-      EXPECT_EQ(db.addr_of(id), sim.client(id)->addr().raw());
+      EXPECT_EQ(db.addr_of(id), sim.active_client(id).addr().raw());
     }
   }
   // On a lossless LAN everything acks out eventually.

@@ -1,6 +1,11 @@
 // Tests for the text scenario parser and self-checking runner.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <ostream>
+#include <sstream>
+#include <string>
+
 #include "src/scenario/scenario.hpp"
 
 namespace bips::core {
@@ -74,6 +79,21 @@ struct BadCase {
   int line;
   const char* fragment;
 };
+
+// Prints a case as the line the parser must reject (or the fragment, for a
+// whole-file error). The registered test names carry this text; gtest's
+// default would print the struct's raw bytes, pointers included, which
+// change from one run to the next.
+void PrintTo(const BadCase& c, std::ostream* os) {
+  if (c.line == 0) {
+    *os << "whole file: " << c.fragment;
+    return;
+  }
+  std::istringstream lines(c.text);
+  std::string line;
+  for (int i = 0; i < c.line; ++i) std::getline(lines, line);
+  *os << "line " << c.line << ": " << line;
+}
 
 class ScenarioErrors : public ::testing::TestWithParam<BadCase> {};
 
@@ -182,8 +202,9 @@ sample 1
   ASSERT_TRUE(spec.has_value()) << err.message;
   auto sim = run_scenario(*spec);
   ASSERT_NE(sim, nullptr);
-  EXPECT_EQ(sim->simulator().now(), SimTime(Duration::seconds(60).ns()));
-  EXPECT_TRUE(sim->client("alice")->logged_in());
+  EXPECT_EQ(sim->shard_simulator(0).now(),
+            SimTime(Duration::seconds(60).ns()));
+  EXPECT_TRUE(sim->active_client("alice").logged_in());
   EXPECT_EQ(sim->db_room("alice"), *spec->building.find("a"));
   EXPECT_GT(sim->tracking().samples, 0u);
 }
@@ -205,8 +226,8 @@ sample 1
 )";
   auto s1 = run_scenario(*parse_scenario(text, &err));
   auto s2 = run_scenario(*parse_scenario(text, &err));
-  EXPECT_EQ(s1->simulator().events_executed(),
-            s2->simulator().events_executed());
+  EXPECT_EQ(s1->shard_simulator(0).events_executed(),
+            s2->shard_simulator(0).events_executed());
   EXPECT_EQ(s1->tracking().correct_room, s2->tracking().correct_room);
 }
 
@@ -397,7 +418,7 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  auto sim = run_scenario(*spec, {}, &report);
+  auto sim = run_scenario(*spec, 1, 1, {}, &report);
   ASSERT_EQ(report.checks.size(), 3u);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << "line " << c.line << ": " << c.detail;
@@ -429,19 +450,17 @@ sample 1
   EXPECT_EQ(spec->assertions[0].min_count, 1u);
 
   ScenarioReport report;
-  auto sim = run_scenario(*spec, {}, &report);
+  auto sim = run_scenario(*spec, 1, 1, {}, &report);
   ASSERT_EQ(report.checks.size(), 2u);
   EXPECT_TRUE(report.checks[0].passed) << report.checks[0].detail;
   EXPECT_FALSE(report.checks[1].passed);  // an absurd floor must fail loudly
   EXPECT_NE(report.checks[1].detail.find("need >= 1000000"),
             std::string::npos);
 
-  // The same file grades identically on the sharded replay path (the
-  // counter floor sums the cell across shards).
+  // The same file grades identically on two shards (the counter floor sums
+  // the cell across shards).
   ScenarioReport sharded;
-  std::string serr;
-  auto par = run_scenario_sharded(*spec, 2, 2, &sharded, &serr);
-  ASSERT_NE(par, nullptr) << serr;
+  run_scenario(*spec, 2, 2, {}, &sharded);
   ASSERT_EQ(sharded.checks.size(), 2u);
   EXPECT_TRUE(sharded.checks[0].passed) << sharded.checks[0].detail;
   EXPECT_FALSE(sharded.checks[1].passed);
@@ -465,7 +484,7 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  run_scenario(*spec, {}, &report);
+  run_scenario(*spec, 1, 1, {}, &report);
   ASSERT_EQ(report.checks.size(), 1u);
   EXPECT_FALSE(report.checks[0].passed);
   EXPECT_EQ(report.checks[0].line, 10);
@@ -495,13 +514,15 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  auto sim = run_scenario(*spec, {}, &report);
+  auto sim = run_scenario(*spec, 1, 1, {}, &report);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << "line " << c.line << ": " << c.detail;
   }
-  // The shadow ended: the client is reachable and logged in again.
-  EXPECT_TRUE(sim->client("alice")->logged_in());
-  EXPECT_FALSE(sim->radio_shadowed("alice"));
+  // The shadow ended: the handheld is back at its owner's position, and the
+  // client is reachable and logged in again.
+  EXPECT_EQ(sim->active_client("alice").device().position(),
+            sim->active_agent("alice").position());
+  EXPECT_TRUE(sim->active_client("alice").logged_in());
 }
 
 TEST(ScenarioRunner, PowerCycleActLogsOutAndBackIn) {
@@ -523,13 +544,13 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  auto sim = run_scenario(*spec, {}, &report);
+  auto sim = run_scenario(*spec, 1, 1, {}, &report);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << "line " << c.line << ": " << c.detail;
   }
-  EXPECT_TRUE(sim->client("alice")->logged_in());
+  EXPECT_TRUE(sim->active_client("alice").logged_in());
   // The power cycle tore the session down and built a fresh one.
-  EXPECT_GE(sim->client("alice")->stats().logins_sent, 2u);
+  EXPECT_GE(sim->active_client("alice").stats().logins_sent, 2u);
 }
 
 TEST(ScenarioRunner, LoginFloodIsAbsorbedWithoutBreakingInvariants) {
@@ -550,12 +571,12 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  auto sim = run_scenario(*spec, {}, &report);
+  auto sim = run_scenario(*spec, 1, 1, {}, &report);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << "line " << c.line << ": " << c.detail;
   }
-  EXPECT_GE(sim->client("alice")->stats().logins_sent, 50u);
-  EXPECT_TRUE(sim->client("alice")->logged_in());
+  EXPECT_GE(sim->active_client("alice").stats().logins_sent, 50u);
+  EXPECT_TRUE(sim->active_client("alice").logged_in());
 }
 
 TEST(ScenarioRunner, StalenessWindowCatchesACrashThatNeverHeals) {
@@ -580,7 +601,7 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  run_scenario(*spec, {}, &report);
+  run_scenario(*spec, 1, 1, {}, &report);
   ASSERT_EQ(report.checks.size(), 1u);
   EXPECT_FALSE(report.checks[0].passed);
   EXPECT_NE(report.checks[0].detail.find("stale"), std::string::npos)
@@ -603,7 +624,7 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  run_scenario(*spec, {}, &report);
+  run_scenario(*spec, 1, 1, {}, &report);
   ASSERT_EQ(report.checks.size(), 1u);
   EXPECT_TRUE(report.checks[0].passed) << report.checks[0].detail;
 }
@@ -624,7 +645,27 @@ sample 1
                                    &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   auto sim = run_scenario(*spec);  // no report: plain workload run
-  EXPECT_TRUE(sim->client("alice")->logged_in());
+  EXPECT_TRUE(sim->active_client("alice").logged_in());
+}
+
+TEST(ScenarioRunner, ZonesDirectiveShardsTheServiceOfAPlainRun) {
+  // A plain run is one simulator zone, so nothing else would set the
+  // location-shard count: the file's `zones 2` must.
+  std::ifstream in(BIPS_SOURCE_DIR
+                   "/examples/scenarios/corpus/par_006_amnesia.bips");
+  ASSERT_TRUE(in) << "corpus file not found";
+  ScenarioError err;
+  const auto spec = parse_scenario(in, &err);
+  ASSERT_TRUE(spec.has_value()) << err.message;
+  ASSERT_EQ(spec->config.server.zones, 2u);
+  ScenarioReport report;
+  auto sim = run_scenario(*spec, 1, 1, {}, &report);
+  EXPECT_EQ(sim->shard_count(), 1u);
+  EXPECT_EQ(sim->server().locations().shard_count(), 2u);
+  for (const auto& c : report.checks) {
+    EXPECT_TRUE(c.passed) << "line " << c.line << ": " << c.detail;
+  }
+  EXPECT_FALSE(report.checks.empty());
 }
 
 TEST(ScenarioRunner, ScriptedCrashAndRecovery) {
@@ -647,11 +688,9 @@ sample 1
   auto sim = run_scenario(*spec);
   // The crash happened (station expired) and recovery completed (Alice is
   // tracked again by the end).
-  EXPECT_GE(
-      sim->simulator().obs().metrics.counter_value("server.stations_expired"),
-      1u);
+  EXPECT_GE(sim->metric_sum("server.stations_expired"), 1u);
   EXPECT_EQ(sim->db_room("alice"), 0u);
-  EXPECT_TRUE(sim->client("alice")->logged_in());
+  EXPECT_TRUE(sim->active_client("alice").logged_in());
   EXPECT_FALSE(sim->workstation(0).crashed());
 }
 

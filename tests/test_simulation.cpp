@@ -1,11 +1,12 @@
-// Unit tests for the BipsSimulation harness API itself (the deployment
-// builder): wiring, accessors, custom mobility, and guard rails.
+// Unit tests for the ShardedBipsSimulation harness API in its default
+// one-shard configuration (the paper's single-zone deployment builder):
+// wiring, accessors, custom mobility, and guard rails.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <utility>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 
 namespace bips::core {
 namespace {
@@ -20,7 +21,8 @@ SimulationConfig still_config() {
 }
 
 TEST(Simulation, BuildsOneWorkstationPerRoom) {
-  BipsSimulation sim(mobility::Building::department(), still_config());
+  ShardedBipsSimulation sim(mobility::Building::department(),
+                            ShardedConfig{.base = still_config()});
   EXPECT_EQ(sim.workstation_count(), 10u);
   EXPECT_EQ(sim.user_count(), 0u);
   for (StationId s = 0; s < 10; ++s) {
@@ -28,21 +30,24 @@ TEST(Simulation, BuildsOneWorkstationPerRoom) {
   }
 }
 
-TEST(Simulation, AccessorsForUnknownUsersAreNull) {
-  BipsSimulation sim(mobility::Building::corridor(1), still_config());
-  EXPECT_EQ(sim.client("ghost"), nullptr);
-  EXPECT_EQ(sim.agent("ghost"), nullptr);
+TEST(Simulation, AccessorsForUnknownUsersDie) {
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = still_config()});
+  EXPECT_DEATH(sim.active_client("ghost"), "unknown userid");
+  EXPECT_DEATH(sim.active_agent("ghost"), "unknown userid");
 }
 
 TEST(Simulation, DuplicateUserDies) {
-  BipsSimulation sim(mobility::Building::corridor(1), still_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = still_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   EXPECT_DEATH(sim.add_user("Alice", "alice2", "pw", 0), "duplicate");
   EXPECT_DEATH(sim.add_user("Alice2", "alice", "pw", 0), "duplicate");
 }
 
 TEST(Simulation, AddUserAfterStartDies) {
-  BipsSimulation sim(mobility::Building::corridor(1), still_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = still_config()});
   sim.run_for(Duration::seconds(1));
   EXPECT_DEATH(sim.add_user("Late", "late", "pw", 0), "before starting");
 }
@@ -51,27 +56,31 @@ TEST(Simulation, DisconnectedBuildingDies) {
   mobility::Building b;
   b.add_room("a", {0, 0});
   b.add_room("island", {100, 0});
-  EXPECT_DEATH(BipsSimulation(std::move(b), still_config()), "connected");
+  EXPECT_DEATH(ShardedBipsSimulation(std::move(b),
+                                     ShardedConfig{.base = still_config()}),
+               "connected");
 }
 
 TEST(Simulation, UsersKeepStableAddressesAsMoreAreAdded) {
   // Regression guard: position-provider closures hold pointers into the
   // user container; adding users must not invalidate them.
-  BipsSimulation sim(mobility::Building::corridor(2), still_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = still_config()});
   sim.add_user("U0", "u0", "pw", 0);
   Vec2 fixed{3, 0};
   sim.set_position_provider("u0", [&fixed] { return fixed; });
-  const Vec2 before = sim.client("u0")->device().position();
+  const Vec2 before = sim.active_client("u0").device().position();
   for (int i = 1; i < 40; ++i) {
     sim.add_user("U" + std::to_string(i), "u" + std::to_string(i), "pw", 1);
   }
-  EXPECT_EQ(sim.client("u0")->device().position(), before);
+  EXPECT_EQ(sim.active_client("u0").device().position(), before);
   fixed = Vec2{7, 0};
-  EXPECT_EQ(sim.client("u0")->device().position(), (Vec2{7, 0}));
+  EXPECT_EQ(sim.active_client("u0").device().position(), (Vec2{7, 0}));
 }
 
 TEST(Simulation, CustomProviderDrivesTruthAndMetrics) {
-  BipsSimulation sim(mobility::Building::corridor(2), still_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(2),
+                            ShardedConfig{.base = still_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   Vec2 pos = sim.building().room(1).center;  // contradicts the start room
   sim.set_position_provider("alice", [&pos] { return pos; });
@@ -82,16 +91,19 @@ TEST(Simulation, CustomProviderDrivesTruthAndMetrics) {
 }
 
 TEST(Simulation, RunForAdvancesExactly) {
-  BipsSimulation sim(mobility::Building::corridor(1), still_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = still_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.run_for(Duration::from_seconds(12.5));
-  EXPECT_EQ(sim.simulator().now().ns(), Duration::from_seconds(12.5).ns());
+  EXPECT_EQ(sim.shard_simulator(0).now().ns(),
+            Duration::from_seconds(12.5).ns());
   sim.run_for(Duration::from_seconds(0.5));
-  EXPECT_EQ(sim.simulator().now().ns(), Duration::seconds(13).ns());
+  EXPECT_EQ(sim.shard_simulator(0).now().ns(), Duration::seconds(13).ns());
 }
 
 TEST(Simulation, TrackingSamplerCountsOnlyLoggedInUsers) {
-  BipsSimulation sim(mobility::Building::corridor(1), still_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = still_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.enable_tracking_metrics(Duration::seconds(1));
   sim.run_for(Duration::seconds(5));
@@ -113,14 +125,15 @@ TEST(Simulation, FixedSeedDiscoveryOrderIsDeterministic) {
     SimulationConfig cfg;
     cfg.seed = 7;
     cfg.stagger_inquiry = true;
-    BipsSimulation sim(mobility::Building::corridor(3), cfg);
+    ShardedBipsSimulation sim(mobility::Building::corridor(3),
+                              ShardedConfig{.base = cfg});
     sim.add_user("Alice", "alice", "pw", 0);
     sim.add_user("Bob", "bob", "pw", 2);
     sim.add_user("Carol", "carol", "pw", 1);
     sim.run_for(Duration::seconds(90));
     std::ostringstream os;
     sim.write_history_csv(os);
-    return std::make_pair(os.str(), sim.simulator().events_executed());
+    return std::make_pair(os.str(), sim.shard_simulator(0).events_executed());
   };
   const auto first = run_once();
   const auto second = run_once();
@@ -131,14 +144,12 @@ TEST(Simulation, FixedSeedDiscoveryOrderIsDeterministic) {
 }
 
 TEST(Simulation, RadioAndServerAccessorsShareState) {
-  BipsSimulation sim(mobility::Building::corridor(1), still_config());
+  ShardedBipsSimulation sim(mobility::Building::corridor(1),
+                            ShardedConfig{.base = still_config()});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.run_for(Duration::seconds(30));
-  EXPECT_GT(sim.simulator().obs().metrics.counter_value("radio.transmissions"),
-            0u);
-  EXPECT_GT(sim.simulator().obs().metrics.counter_value(
-                "server.presence_received"),
-            0u);
+  EXPECT_GT(sim.metric_sum("radio.transmissions"), 0u);
+  EXPECT_GT(sim.metric_sum("server.presence_received"), 0u);
 }
 
 }  // namespace

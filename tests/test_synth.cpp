@@ -47,7 +47,7 @@ TEST(SynthScenario, GeneratedScenarioPassesItsOwnAssertions) {
   const auto spec = parse_scenario(synth_scenario(42), &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  run_scenario(*spec, {}, &report);
+  run_scenario(*spec, 1, 1, {}, &report);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << "line " << c.line << " (" << c.what
                           << "): " << c.detail;
@@ -62,7 +62,7 @@ TEST(SynthScenario, ChaosVariantPassesItsOwnAssertions) {
   const auto spec = parse_scenario(synth_scenario(13, p), &err);
   ASSERT_TRUE(spec.has_value()) << err.message;
   ScenarioReport report;
-  run_scenario(*spec, {}, &report);
+  run_scenario(*spec, 1, 1, {}, &report);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << "line " << c.line << " (" << c.what
                           << "): " << c.detail;
@@ -77,8 +77,8 @@ TEST(SynthScenario, ExactAndFastForwardHistoriesAreByteIdentical) {
   exact_spec.config.channel.exact_slots = true;
 
   ScenarioReport ff_report, exact_report;
-  auto ff = run_scenario(*ff_spec, {}, &ff_report);
-  auto exact = run_scenario(exact_spec, {}, &exact_report);
+  auto ff = run_scenario(*ff_spec, 1, 1, {}, &ff_report);
+  auto exact = run_scenario(exact_spec, 1, 1, {}, &exact_report);
   EXPECT_TRUE(ff_report.passed());
   EXPECT_TRUE(exact_report.passed());
 
@@ -87,8 +87,8 @@ TEST(SynthScenario, ExactAndFastForwardHistoriesAreByteIdentical) {
   exact->write_history_csv(exact_csv);
   EXPECT_EQ(ff_csv.str(), exact_csv.str());
   // Fast-forward elides idle slot work; it must not elide history.
-  EXPECT_LT(ff->simulator().events_executed(),
-            exact->simulator().events_executed());
+  EXPECT_LT(ff->shard_simulator(0).events_executed(),
+            exact->shard_simulator(0).events_executed());
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <sstream>
 #include <string>
 
-#include "src/core/simulation.hpp"
+#include "src/core/parallel.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/log.hpp"
 
@@ -158,9 +158,10 @@ core::SimulationConfig small_cfg(std::uint64_t seed) {
   return cfg;
 }
 
-std::unique_ptr<core::BipsSimulation> small_sim(std::uint64_t seed) {
-  auto sim = std::make_unique<core::BipsSimulation>(
-      mobility::Building::grid(2, 2), small_cfg(seed));
+std::unique_ptr<core::ShardedBipsSimulation> small_sim(std::uint64_t seed) {
+  auto sim = std::make_unique<core::ShardedBipsSimulation>(
+      mobility::Building::grid(2, 2),
+      core::ShardedConfig{.base = small_cfg(seed)});
   for (int i = 0; i < 6; ++i) {
     sim->add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                   static_cast<mobility::RoomId>(i % 4));
@@ -172,9 +173,9 @@ std::string traced_run(std::uint64_t seed, double sim_seconds) {
   auto sim = small_sim(seed);
   std::ostringstream os;
   JsonlSink sink(os);
-  sim->simulator().obs().tracer.set_sink(&sink);
+  sim->shard_simulator(0).obs().tracer.set_sink(&sink);
   sim->run_for(Duration::from_seconds(sim_seconds));
-  sim->simulator().obs().tracer.set_sink(nullptr);
+  sim->shard_simulator(0).obs().tracer.set_sink(nullptr);
   sink.flush();
   return os.str();
 }
@@ -199,17 +200,17 @@ TEST(TraceDeterminism, KernelChurnSamplerFiresUnderExactSlots) {
   // the radio.ff stream above and the kernel.skipped_slots counter).
   auto cfg = small_cfg(5);
   cfg.channel.exact_slots = true;
-  auto sim = std::make_unique<core::BipsSimulation>(
-      mobility::Building::grid(2, 2), cfg);
+  auto sim = std::make_unique<core::ShardedBipsSimulation>(
+      mobility::Building::grid(2, 2), core::ShardedConfig{.base = cfg});
   for (int i = 0; i < 6; ++i) {
     sim->add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
                   static_cast<mobility::RoomId>(i % 4));
   }
   std::ostringstream os;
   JsonlSink sink(os);
-  sim->simulator().obs().tracer.set_sink(&sink);
+  sim->shard_simulator(0).obs().tracer.set_sink(&sink);
   sim->run_for(Duration::from_seconds(30));
-  sim->simulator().obs().tracer.set_sink(nullptr);
+  sim->shard_simulator(0).obs().tracer.set_sink(nullptr);
   sink.flush();
   EXPECT_GT(count_lines(os.str(), "\"kind\":\"kernel.sample\""), 0u);
   EXPECT_EQ(count_lines(os.str(), "\"kind\":\"radio.ff\""), 0u);
@@ -219,15 +220,17 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheSimulation) {
   auto traced = small_sim(5);
   auto bare = small_sim(5);
   RingSink ring;
-  traced->simulator().obs().tracer.set_sink(&ring);
+  traced->shard_simulator(0).obs().tracer.set_sink(&ring);
   traced->run_for(Duration::from_seconds(30));
+  // Detach before `ring` dies: tearing the world down still emits records.
+  traced->shard_simulator(0).obs().tracer.set_sink(nullptr);
   bare->run_for(Duration::from_seconds(30));
   EXPECT_GT(ring.total_written(), 0u);
 
   // Same executed-event count and a byte-identical discovery history:
   // sinks observe, they never schedule.
-  EXPECT_EQ(traced->simulator().events_executed(),
-            bare->simulator().events_executed());
+  EXPECT_EQ(traced->shard_simulator(0).events_executed(),
+            bare->shard_simulator(0).events_executed());
   std::ostringstream with_trace, without_trace;
   traced->write_history_csv(with_trace);
   bare->write_history_csv(without_trace);
@@ -239,7 +242,7 @@ TEST(TraceCrashSafety, ServerCrashFlushesBufferedRecordsExactlyOnce) {
   std::ostringstream os;
   {
     JsonlSink sink(os);
-    sim->simulator().obs().tracer.set_sink(&sink);
+    sim->shard_simulator(0).obs().tracer.set_sink(&sink);
     sim->run_for(Duration::from_seconds(20));
 
     // Nothing forced a flush yet; the crash handler must persist the whole
@@ -251,7 +254,7 @@ TEST(TraceCrashSafety, ServerCrashFlushesBufferedRecordsExactlyOnce) {
 
     sim->server().restart();
     sim->run_for(Duration::from_seconds(5));
-    sim->simulator().obs().tracer.set_sink(nullptr);
+    sim->shard_simulator(0).obs().tracer.set_sink(nullptr);
   }
   // Destructor re-flush emitted only the post-crash tail: the crash record
   // is still there exactly once, the restart exactly once.
