@@ -45,16 +45,21 @@ std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
 
 RadioChannel::ChannelState& RadioChannel::channel_state(RfChannel ch) {
   BIPS_ASSERT(ch.index < kChannelIndexSpan);
-  NsChannels* nsc;
   if (ch.ns == 0) {
-    nsc = &inquiry_ns_;
-  } else {
-    std::unique_ptr<NsChannels>& block = page_ns_[ch.ns];
-    if (!block) block = std::make_unique<NsChannels>();
-    nsc = block.get();
+    std::unique_ptr<ChannelState>& slot = inquiry_ch_[ch.index];
+    if (!slot) {
+      slot = std::make_unique<ChannelState>();
+      slot->recent = &inquiry_recent_[ch.index];
+    }
+    return *slot;
   }
-  std::unique_ptr<ChannelState>& slot = nsc->ch[ch.index];
-  if (!slot) slot = std::make_unique<ChannelState>();
+  std::unique_ptr<NsChannels>& block = page_ns_[ch.ns];
+  if (!block) block = std::make_unique<NsChannels>();
+  std::unique_ptr<ChannelState>& slot = block->ch[ch.index];
+  if (!slot) {
+    slot = std::make_unique<ChannelState>();
+    slot->recent = &block->recent;
+  }
   return *slot;
 }
 
@@ -71,15 +76,16 @@ void RadioChannel::transmit(RadioDevice* sender, RfChannel ch, Packet p) {
   const SimTime start = sim_.now();
   const SimTime end = start + p.duration();
   ChannelState& cs = channel_state(ch);
-  TxQueue& q = cfg_.cross_set_interference > 0 ? global_recent_ : cs.recent;
+  TxQueue& q = cfg_.cross_set_interference > 0 ? global_recent_ : *cs.recent;
   q.push_back(Transmission{sender, ch, start, end, p});
   c_transmissions_->inc();
   sender->account_tx(p.duration());
   // Deque references are stable under push_back and pop_front, so the
   // delivery event can carry the channel state and element by pointer: no
   // packet copy into the closure and no map probe at delivery time. The
-  // element cannot be pruned before its own delivery (the horizon trails
-  // `now` by several slots).
+  // element cannot be pruned before its own delivery, not even by a
+  // delivery on another hop sharing the queue: the horizon trails `now` by
+  // several slots.
   const Transmission* t = &q.back();
   sim_.schedule_at(end, [this, csp = &cs, t] { deliver(*csp, *t); });
 }
@@ -413,7 +419,7 @@ void RadioChannel::gather_candidates(const ChannelState& cs,
 }
 
 void RadioChannel::deliver(ChannelState& cs, const Transmission& tx) {
-  TxQueue& q = cfg_.cross_set_interference > 0 ? global_recent_ : cs.recent;
+  TxQueue& q = cfg_.cross_set_interference > 0 ? global_recent_ : *cs.recent;
   prune(q, sim_.now());  // cannot evict `tx` itself: tx.end == now
 
   // Snapshot matching listeners first: on_packet may start/stop listens.

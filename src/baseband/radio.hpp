@@ -16,17 +16,18 @@
 //
 // Scaling architecture (building-sized runs): every RF channel ever used is
 // interned once into a ChannelState that owns that channel's listener index
-// and its recent-transmission queue, so the hot paths cost one hash probe
-// (transmit, start_listen) or none at all (stop_listen and delivery follow
-// pointers carried by the listen slot / delivery closure). Listen state
+// and a pointer to its transmission queue, so the hot paths cost one hash
+// probe (transmit, start_listen) or none at all (stop_listen and delivery
+// follow pointers carried by the listen slot / delivery closure). Listen state
 // lives in a generation-tagged arena (ListenId = slot + generation, so a
 // stale stop_listen is a true no-op), and each device carries its own
 // listen list for O(its listens) teardown. A channel's listeners start as
 // one flat vector -- a handful of scanners, scanned linearly -- and migrate
 // one-way onto a coarse spatial grid over listener positions when the
 // channel grows past ChannelConfig::grid_threshold. In-flight transmissions
-// sit per channel in start-time order, so the collision-overlap check scans
-// a bounded window instead of every recent transmission in the building.
+// sit in start-time order (one queue per inquiry hop, one per page
+// namespace), so the collision-overlap check scans a bounded window instead
+// of every recent transmission in the building.
 // Candidate listeners are visited in registration order, which makes
 // delivery deterministic and independent of both hash-map iteration order
 // and the flat/grid mode split; per-reception randomness is drawn from
@@ -252,27 +253,34 @@ class RadioChannel {
     RadioDevice* device;
     SimTime since;
   };
-  // Transmissions overlapping the recent past on one channel, in start-time
-  // order (simulation time is monotone, so push_back keeps it sorted).
+  // Transmissions overlapping the recent past on one inquiry channel or one
+  // page namespace, in start-time order (simulation time is monotone, so
+  // push_back keeps it sorted).
   // std::deque: grows at the back, prunes at the front, and -- crucially --
   // pointers to elements survive both, so the delivery event can carry a
   // plain Transmission* instead of copying the packet into the closure.
   using TxQueue = std::deque<Transmission>;
 
   // Everything the channel knows about one RF channel, interned on first
-  // use and never discarded (scanners revisit the same channels every
-  // window; erase/insert churn would cost an allocation each way). Lives
-  // behind a unique_ptr so listen slots and delivery events can hold the
-  // address across channels_ rehashes.
+  // use and kept for the rest of the run (scanners revisit the same
+  // channels every window; erase/insert churn would cost an allocation
+  // each way). Page namespaces make these numerous -- every handheld's
+  // page scan walks its own 32 hops -- so an interned state holds no heap
+  // until used: the grid table is built on migration, and a page hop has
+  // no queue of its own. Held by unique_ptr (as is each NsChannels block),
+  // so listen slots and delivery events can keep its address for the run.
   struct ChannelState {
     // Flat listener list (pre-migration). A channel serving one building
     // wing has a handful of listeners: a linear scan beats grid probes.
     std::vector<CellEntry> flat;
-    // Spatial index, populated once the channel migrates: grid cell key ->
-    // listeners registered under that cell. Emptied vectors are kept, which
-    // is exactly the erase-free discipline FlatHashMap requires.
+    // Spatial index, populated once the channel migrates (empty, and so
+    // unallocated, before): grid cell key -> listeners registered under
+    // that cell. Emptied vectors are kept, which is exactly the erase-free
+    // discipline FlatHashMap requires.
     FlatHashMap<std::vector<CellEntry>> cells;
-    TxQueue recent;
+    // The queue this channel's transmissions join: its own on an inquiry
+    // hop, its namespace's shared one on a page hop (see NsChannels).
+    TxQueue* recent = nullptr;
     std::uint32_t listens = 0;  // across flat + cells
     // One-way flag: flips when `listens` first exceeds grid_threshold (and
     // the config enables the grid). Crowded channels stay grid-indexed.
@@ -324,12 +332,16 @@ class RadioChannel {
     std::uint32_t slot;
   };
 
-  // One namespace's 32 hop channels, direct-indexed. The inquiry set (ns 0)
-  // is a member -- zero hash probes for all inquiry traffic; per-address
-  // page namespaces intern through a map of these blocks, which stays small
-  // (one entry per distinct paged address) and cache-resident.
+  // One page namespace: a paged address's 32 hop channels, direct-indexed,
+  // and the one transmission queue they share. A namespace carries only the
+  // page trains aimed at one handheld and that handheld's replies, so the
+  // shared queue stays short, and with cross_set_interference == 0 the
+  // overlap scan in deliver() skips other hops' entries: sharing changes no
+  // outcome. page_ns_ holds one block per distinct paged address, so it
+  // grows with the population.
   struct NsChannels {
     std::unique_ptr<ChannelState> ch[kChannelIndexSpan];
+    TxQueue recent;
   };
 
   ChannelState& channel_state(RfChannel ch);
@@ -373,8 +385,11 @@ class RadioChannel {
   std::uint64_t next_listen_seq_ = 1;
   // Channel intern table, two-level: the inquiry namespace is a direct
   // member (no hashing for the bulk of the traffic), page namespaces map
-  // through ns -> channel block.
-  NsChannels inquiry_ns_;
+  // through ns -> channel block. Every inquiring master sweeps all 32
+  // inquiry hops, so each keeps its own queue and its overlap scan reads
+  // only its own traffic.
+  std::unique_ptr<ChannelState> inquiry_ch_[kChannelIndexSpan];
+  TxQueue inquiry_recent_[kChannelIndexSpan];
   FlatHashMap<std::unique_ptr<NsChannels>> page_ns_;
   // Transmission bucket used when cross-set interference is enabled: every
   // transmission lands in one global queue (in start-time order, exactly

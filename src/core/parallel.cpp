@@ -163,11 +163,9 @@ double ShardedBipsSimulation::dom_hi(std::size_t k) const {
 }
 
 std::size_t ShardedBipsSimulation::user_index(std::string_view userid) const {
-  for (std::size_t i = 0; i < users_.size(); ++i) {
-    if (users_[i].userid == userid) return i;
-  }
-  BIPS_ASSERT_MSG(false, "unknown userid");
-  return 0;
+  const auto it = user_ids_.find(userid);
+  BIPS_ASSERT_MSG(it != user_ids_.end(), "unknown userid");
+  return it->second;
 }
 
 void ShardedBipsSimulation::add_user(const std::string& name,
@@ -213,6 +211,7 @@ void ShardedBipsSimulation::add_user(const std::string& name,
     u.replicas.push_back(std::move(rep));
   }
   users_.push_back(std::move(u));
+  user_ids_.emplace(users_.back().userid, i);
   owner_.push_back(static_cast<std::uint32_t>(owner));
   for (std::size_t k = 0; k < shard_count(); ++k) install_provider(i, k);
 }

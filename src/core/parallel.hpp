@@ -33,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/simulation.hpp"
@@ -279,6 +280,10 @@ class ShardedBipsSimulation {
   /// Last server fault_generation() mirrored out to the agents.
   std::uint64_t seen_fault_generation_ = 0;
   std::deque<User> users_;
+  /// userid -> index into users_, filled by add_user. The keys view the
+  /// users_ entries' own strings, which stay put: users_ only grows at the
+  /// back (a deque moves no element doing so) and the class is immovable.
+  std::unordered_map<std::string_view, std::size_t> user_ids_;
   /// Owning shard per user. Written by the owning shard's resume event,
   /// read single-threaded at barriers.
   std::vector<std::uint32_t> owner_;

@@ -9,6 +9,11 @@
 // emptied cell vectors and zeroed counters anyway, precisely to avoid
 // alloc/erase churn), which keeps probing tombstone-free.
 //
+// The cell table is allocated by the first insert: an empty map costs no
+// heap. Maps that may never be filled (a radio channel's spatial grid,
+// which exists only once the channel migrates to it) rely on that, since
+// the radio interns one per hop channel touched.
+//
 // Values must be movable; rehashing moves them. Pointers *into* a value
 // (e.g. elements of a moved std::deque or std::vector) survive a rehash,
 // but pointers to the value object itself do not -- hold such values by
@@ -27,8 +32,6 @@ namespace bips {
 template <typename V>
 class FlatHashMap {
  public:
-  FlatHashMap() { cells_.resize(kInitialCapacity); }
-
   /// Returns the value for `key`, default-constructing it on first use.
   V& operator[](std::uint64_t key) {
     if ((size_ + 1) * 4 > cells_.size() * 3) grow();
@@ -43,12 +46,12 @@ class FlatHashMap {
 
   /// Returns the value for `key`, or nullptr if absent.
   V* find(std::uint64_t key) {
+    if (cells_.empty()) return nullptr;
     Cell& c = probe(cells_, key);
     return c.used ? &c.value : nullptr;
   }
   const V* find(std::uint64_t key) const {
-    const Cell& c = probe(const_cast<std::vector<Cell>&>(cells_), key);
-    return c.used ? &c.value : nullptr;
+    return const_cast<FlatHashMap*>(this)->find(key);
   }
 
   std::size_t size() const { return size_; }
@@ -87,7 +90,8 @@ class FlatHashMap {
   }
 
   void grow() {
-    std::vector<Cell> bigger(cells_.size() * 2);
+    std::vector<Cell> bigger(cells_.empty() ? kInitialCapacity
+                                            : cells_.size() * 2);
     for (Cell& c : cells_) {
       if (!c.used) continue;
       Cell& dst = probe(bigger, c.key);

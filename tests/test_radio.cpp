@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -159,51 +160,104 @@ TEST_F(RadioTest, ZeroDeviceRangeFallsBackToChannelDefault) {
   EXPECT_EQ(rx.received.size(), 1u);
 }
 
-TEST_F(RadioTest, OverlappingSameChannelTransmissionsCollide) {
+// Two hops of one namespace. Inquiry hops (ns 0) keep a transmission queue
+// each; a page namespace's hops share one, so the collision rule must hold
+// per hop either way.
+struct HopPair {
+  const char* name;
+  RfChannel hop, other_hop;
+};
+
+// Names the case in test listings (ctest shows it in place of the index).
+void PrintTo(const HopPair& p, std::ostream* os) { *os << p.name; }
+
+struct RadioHopTest : RadioTest, ::testing::WithParamInterface<HopPair> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Namespaces, RadioHopTest,
+    ::testing::Values(HopPair{"inquiry", kCh, kOtherCh},
+                      HopPair{"page", RfChannel{7, 5}, RfChannel{7, 6}}));
+
+TEST_P(RadioHopTest, OverlappingSameChannelTransmissionsCollide) {
+  const RfChannel hop = GetParam().hop;
   RadioChannel ch(sim, rng, cfg);
   TestDevice tx1(1), tx2(2), rx(3);
-  ch.start_listen(&rx, kCh);
-  ch.transmit(&tx1, kCh, id_packet(1));
-  ch.transmit(&tx2, kCh, id_packet(2));  // same instant, same channel
+  ch.start_listen(&rx, hop);
+  ch.transmit(&tx1, hop, id_packet(1));
+  ch.transmit(&tx2, hop, id_packet(2));  // same instant, same channel
   sim.run();
   EXPECT_TRUE(rx.received.empty());
   EXPECT_EQ(sim.obs().metrics.counter_value("radio.collisions"), 2u);  // both (listener, packet) pairs died
 }
 
-TEST_F(RadioTest, PartialOverlapAlsoCollides) {
+TEST_P(RadioHopTest, PartialOverlapAlsoCollides) {
+  const RfChannel hop = GetParam().hop;
   RadioChannel ch(sim, rng, cfg);
   TestDevice tx1(1), tx2(2), rx(3);
-  ch.start_listen(&rx, kCh);
-  ch.transmit(&tx1, kCh, id_packet(1));  // [0, 68us)
+  ch.start_listen(&rx, hop);
+  ch.transmit(&tx1, hop, id_packet(1));  // [0, 68us)
   sim.schedule(Duration::micros(30), [&] {
-    ch.transmit(&tx2, kCh, id_packet(2));  // [30, 98us): overlaps
+    ch.transmit(&tx2, hop, id_packet(2));  // [30, 98us): overlaps
   });
   sim.run();
   EXPECT_TRUE(rx.received.empty());
 }
 
-TEST_F(RadioTest, BackToBackTransmissionsDoNotCollide) {
+TEST_P(RadioHopTest, BackToBackTransmissionsDoNotCollide) {
+  const RfChannel hop = GetParam().hop;
   RadioChannel ch(sim, rng, cfg);
   TestDevice tx1(1), tx2(2), rx(3);
-  ch.start_listen(&rx, kCh);
-  ch.transmit(&tx1, kCh, id_packet(1));  // [0, 68)
+  ch.start_listen(&rx, hop);
+  ch.transmit(&tx1, hop, id_packet(1));  // [0, 68)
   sim.schedule(Duration::micros(68), [&] {
-    ch.transmit(&tx2, kCh, id_packet(2));  // [68, 136): touching, no overlap
+    ch.transmit(&tx2, hop, id_packet(2));  // [68, 136): touching, no overlap
   });
   sim.run();
   EXPECT_EQ(rx.received.size(), 2u);
 }
 
-TEST_F(RadioTest, SimultaneousDifferentChannelsBothDeliver) {
+TEST_P(RadioHopTest, SimultaneousDifferentChannelsBothDeliver) {
+  const HopPair& p = GetParam();
   RadioChannel ch(sim, rng, cfg);
   TestDevice tx1(1), tx2(2), rx1(3), rx2(4);
-  ch.start_listen(&rx1, kCh);
-  ch.start_listen(&rx2, kOtherCh);
-  ch.transmit(&tx1, kCh, id_packet(1));
-  ch.transmit(&tx2, kOtherCh, id_packet(2));
+  ch.start_listen(&rx1, p.hop);
+  ch.start_listen(&rx2, p.other_hop);
+  ch.transmit(&tx1, p.hop, id_packet(1));
+  ch.transmit(&tx2, p.other_hop, id_packet(2));
   sim.run();
   EXPECT_EQ(rx1.received.size(), 1u);
   EXPECT_EQ(rx2.received.size(), 1u);
+}
+
+TEST_F(RadioTest, PageHopFhsSurvivesPrunesFromItsNamespacesOtherHops) {
+  // Every delivery prunes its queue, and a page namespace's hops share
+  // one: deliveries on hop 6 must evict only what has aged out, never the
+  // 366 us FHS still in flight on hop 5, which must still collide with an
+  // ID that overlaps it there.
+  const RfChannel hop{7, 5}, other_hop{7, 6};
+  RadioChannel ch(sim, rng, cfg);
+  TestDevice fhs_tx(1), id_tx(2), other_tx(3), rx(4), other_rx(5);
+  ch.start_listen(&rx, hop);
+  ch.start_listen(&other_rx, other_hop);
+  ch.transmit(&other_tx, other_hop, id_packet(3));  // [0, 68): ages out
+  sim.schedule(Duration::micros(3000), [&] {
+    Packet fhs = id_packet(1);
+    fhs.type = PacketType::kFhs;
+    ASSERT_EQ(fhs.duration(), Duration::micros(366));
+    ch.transmit(&fhs_tx, hop, fhs);  // [3000, 3366)
+  });
+  for (const int at : {3000, 3100, 3200}) {
+    sim.schedule(Duration::micros(at), [&] {
+      ch.transmit(&other_tx, other_hop, id_packet(3));
+    });
+  }
+  sim.schedule(Duration::micros(3250), [&] {
+    ch.transmit(&id_tx, hop, id_packet(2));  // [3250, 3318): overlaps it
+  });
+  sim.run();
+  EXPECT_EQ(other_rx.received.size(), 4u);  // no clash on the other hop
+  EXPECT_TRUE(rx.received.empty());  // FHS and ID destroyed each other
+  EXPECT_EQ(sim.obs().metrics.counter_value("radio.collisions"), 2u);
 }
 
 TEST_F(RadioTest, InterfererOutOfListenerRangeDoesNotCollide) {
