@@ -55,7 +55,8 @@
 //                 Query-API answers (any difference fails the process:
 //                 thread count must not change one byte), plus a third pass
 //                 with the location service pinned to a single database
-//                 (service_zones=1) whose query answers must also match --
+//                 (server.zones = 1; by default it has one shard per
+//                 simulator zone) whose query answers must also match --
 //                 partitioning the service must be invisible to queries;
 //                 reports the wall-clock speedup; --min-speedup gates it.
 //   --faults      inject a seeded chaos fault schedule (station crashes,
@@ -172,8 +173,8 @@ std::string dump_queries(core::ShardedBipsSimulation& sim, int users,
 struct Run {
   int threads = 1;
   std::size_t shards = 1;
-  /// Location-service shard count (0 = aligned with the simulator zones).
-  std::size_t service_zones = 0;
+  /// Location-service shard count (0 = one per simulator zone).
+  std::size_t zones = 0;
   bool metrics = true;
   bool exact_slots = false;
   bool faults = false;
@@ -202,7 +203,7 @@ Result run_point(const SweepPoint& p, const Run& run) {
   // zone agents' dedup resets are part of what the byte-diff must cover.
   if (run.faults) scfg.base.server.station_timeout = Duration::seconds(10);
   scfg.shards = run.shards;
-  scfg.service_zones = run.service_zones;
+  scfg.base.server.zones = run.zones;
 
   core::ShardedBipsSimulation sim(mobility::Building::grid(p.rows, p.cols),
                                   scfg);
@@ -518,7 +519,7 @@ int run(const Options& opt) {
       // energy ledgers and Query-API answers must match byte for byte;
       // wall-clock (not CPU time: workers burn CPU in parallel) gives the
       // speedup. A third pass pins the location service to ONE shard
-      // (service_zones=1, the single-database reference) and byte-diffs its
+      // (server.zones = 1, the single-database reference) and byte-diffs its
       // query answers too: partitioning the service must not change an
       // answer any more than the thread count does.
       Run one = base;
@@ -536,7 +537,7 @@ int run(const Options& opt) {
       capn.energy = &energyn;
       capn.queries = &qn;
       Run single_db = base;
-      single_db.service_zones = 1;
+      single_db.zones = 1;
       single_db.queries = &qsingle;
       Result r1 = run_point(p, cap1);
       Result rn = run_point(p, capn);

@@ -99,10 +99,9 @@ ShardedBipsSimulation::ShardedBipsSimulation(mobility::Building building,
   // The server's endpoint is the first created on shard 0's LAN, so its
   // address is exactly shard 0's address base -- reachable from every zone
   // through the uplink. Its location shards align with the simulator zones
-  // by default (service_zones == 0): the same ZonePartition::columns cut,
+  // by default (server.zones == 0): the same ZonePartition::columns cut,
   // so a delta ingested by simulator shard k is owned by location shard k.
-  cfg_.base.server.zones = cfg_.service_zones == 0 ? shard_count()
-                                                   : cfg_.service_zones;
+  if (cfg_.base.server.zones == 0) cfg_.base.server.zones = shard_count();
   server_ = std::make_unique<BipsServer>(group_.shard(0), shards_[0]->lan,
                                          building_, cfg_.base.server);
 
@@ -415,14 +414,7 @@ mobility::RandomWaypointAgent& ShardedBipsSimulation::active_agent(
 void ShardedBipsSimulation::enable_tracking_metrics(Duration period) {
   BIPS_ASSERT(period > Duration(0));
   sample_period_ = period;
-  next_sample_ = group_.now() + period;
-  if (shard_count() == 1) {
-    // One unbounded window has no barriers to ride: sample from an
-    // in-simulation timer instead.
-    sampler_ = std::make_unique<sim::PeriodicTimer>(
-        group_.shard(0), period, [this] { sample_tracking(); });
-    sampler_->start();
-  }
+  group_.observe_at(group_.now() + period, [this] { sample_tracking(); });
 }
 
 std::vector<std::string> ShardedBipsSimulation::userids() const {
@@ -497,18 +489,12 @@ void ShardedBipsSimulation::merge_zone_ingest(SimTime edge) {
 
 void ShardedBipsSimulation::on_barrier(SimTime edge) {
   merge_zone_ingest(edge);
-  if (sample_period_ > Duration(0) && !sampler_) {
-    // One sample per elapsed period tick, taken at the first barrier at or
-    // after it: a deterministic quantisation bounded by the window.
-    while (next_sample_ <= edge) {
-      sample_tracking();
-      next_sample_ = next_sample_ + sample_period_;
-    }
-  }
   if (barrier_hook_) barrier_hook_(edge);
 }
 
 void ShardedBipsSimulation::sample_tracking() {
+  group_.observe_at(group_.now() + sample_period_,
+                    [this] { sample_tracking(); });
   for (std::size_t i = 0; i < users_.size(); ++i) {
     const Replica& rep = *users_[i].replicas[owner_[i]];
     // BIPS only tracks logged-in users. A user mid-handoff reads as logged

@@ -48,14 +48,9 @@ struct ShardedConfig {
   SimulationConfig base;
   /// Requested zone count; clamped to the number of distinct room-centre
   /// x coordinates (a single-column building cannot be split). The default
-  /// is the paper's single zone.
+  /// is the paper's single zone. The location service's shard count is
+  /// base.server.zones (0, the default, = one per simulator zone).
   std::size_t shards = 1;
-  /// Location-service shard count. 0 (default) aligns the service with the
-  /// simulator zones -- same ZonePartition, so a presence delta ingested
-  /// by simulator shard k is owned by location shard k. Any other value
-  /// decouples the two (e.g. 1 = the classic single-database server under
-  /// a sharded simulator).
-  std::size_t service_zones = 0;
   /// Extra one-way latency of the inter-zone uplink switch hop. Only
   /// cross-zone datagrams pay it, and it -- not the intra-zone base
   /// latency -- is the LAN leg of the lookahead window, so it trades
@@ -156,8 +151,8 @@ class ShardedBipsSimulation {
   void schedule_power_cycle(SimTime at, std::string_view userid,
                             Duration off_for);
 
-  // ---- barrier-time observation (safe between run_for calls and inside
-  // ---- the barrier hook: every shard is quiescent there) ---------------
+  // ---- observation (safe between run_for calls, in observers registered
+  // ---- with group().observe_at and in the barrier hook) ----------------
 
   /// Ground truth: the piconet coverage circle the user stands in.
   mobility::RoomId true_room(std::string_view userid) const;
@@ -186,10 +181,10 @@ class ShardedBipsSimulation {
     barrier_hook_ = std::move(hook);
   }
 
-  /// Periodic DB-vs-ground-truth grading. Multi-shard worlds sample at the
-  /// first window barrier at or after each period tick (a bounded, fully
-  /// deterministic quantisation); a single-shard world samples from an
-  /// in-simulation timer on the exact tick grid.
+  /// Periodic DB-vs-ground-truth grading: one observation point per
+  /// period tick, each arming the next, so every shard count samples the
+  /// exact tick grid. The database is read as of the tick; in a
+  /// multi-shard world zone deltas reach it only at the next barrier.
   void enable_tracking_metrics(Duration period);
   const TrackingMetrics& tracking() const { return tracking_; }
 
@@ -254,13 +249,14 @@ class ShardedBipsSimulation {
   /// through the shard-0 server in one deterministic merge order, then
   /// mirrors the server's fault/epoch state back out to the agents.
   void merge_zone_ingest(SimTime edge);
+  /// Takes one tracking sample and arms the next observation point.
   void sample_tracking();
 
   ShardedConfig cfg_;
   mobility::Building building_;
   /// The zone partition (seams between adjacent zones and the
   /// station -> zone table); shared shape with the server's location
-  /// shards when service_zones aligns.
+  /// shards when their count follows the zones.
   ZonePartition zones_;
   sim::ShardGroup group_;
   Duration window_ = Duration(0);
@@ -285,14 +281,12 @@ class ShardedBipsSimulation {
   /// back (a deque moves no element doing so) and the class is immovable.
   std::unordered_map<std::string_view, std::size_t> user_ids_;
   /// Owning shard per user. Written by the owning shard's resume event,
-  /// read single-threaded at barriers.
+  /// read single-threaded (barriers, observers).
   std::vector<std::uint32_t> owner_;
   bool started_ = false;
   std::function<void(SimTime)> barrier_hook_;
   TrackingMetrics tracking_;
   Duration sample_period_ = Duration(0);
-  SimTime next_sample_;
-  std::unique_ptr<sim::PeriodicTimer> sampler_;  // single-shard worlds only
 };
 
 }  // namespace bips::core

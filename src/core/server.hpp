@@ -34,9 +34,10 @@ class BipsServer {
     /// Location shards: the building is cut into this many column-band
     /// zones (clamped to the distinct-column count) and each zone's slice
     /// of the location database lives on its own shard. 1 = the classic
-    /// single-database server. Sharded simulations align this with the
-    /// simulator's zone count so deltas never cross shards on ingest.
-    std::size_t zones = 1;
+    /// single-database server. 0 (the default) = one location shard per
+    /// simulator zone, so deltas never cross shards on ingest; a standalone
+    /// server treats 0 as 1.
+    std::size_t zones = 0;
     /// Failure detector: a workstation silent (no heartbeat, no presence
     /// traffic) for this long is presumed crashed and every presence record
     /// attributed to it is expired -- a dead station can never send its own

@@ -8,10 +8,7 @@ namespace bips::fault {
 
 InvariantChecker::WorldView world_view(core::ShardedBipsSimulation& sim) {
   InvariantChecker::WorldView view;
-  view.now = [&sim] {
-    return sim.shard_count() == 1 ? sim.shard_simulator(0).now()
-                                  : sim.group().now();
-  };
+  view.now = [&sim] { return sim.shard_simulator(0).now(); };
   view.workstation_count = [&sim] { return sim.workstation_count(); };
   view.workstation = [&sim](core::StationId s) -> core::BipsWorkstation& {
     return sim.workstation(s);

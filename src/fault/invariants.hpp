@@ -37,10 +37,10 @@ namespace bips::fault {
 class InvariantChecker {
  public:
   /// Everything the checker needs to observe a world, as callables. The
-  /// caller owns the sampling cadence and calls sample() itself: a
-  /// single-shard world from a PeriodicTimer on its simulator, a multi-shard
-  /// one at window barriers (every shard is quiescent there, so cross-shard
-  /// reads are safe). All callables must stay valid for the checker's
+  /// caller owns the sampling cadence and calls sample() itself, normally
+  /// from observation points (sim::ShardGroup::observe_at): every shard
+  /// stands exactly on the instant there, so cross-shard reads are safe at
+  /// any shard count. All callables must stay valid for the checker's
   /// lifetime; world_view() builds the standard one.
   struct WorldView {
     std::function<SimTime()> now;
@@ -103,9 +103,10 @@ class InvariantChecker {
   std::vector<std::string> violations_;
 };
 
-/// The checker's view of `sim`: its clock (shard 0's in a single-shard
-/// world, the last barrier's edge otherwise), stations, server and users
-/// (each user through the replica that owns them).
+/// The checker's view of `sim`: its clock (shard 0's: the observation
+/// instant in an observer, the event's instant in a shard-0 event, the
+/// window edge in the barrier hook), stations, server and users (each user
+/// through the replica that owns them).
 InvariantChecker::WorldView world_view(core::ShardedBipsSimulation& sim);
 
 }  // namespace bips::fault

@@ -693,33 +693,16 @@ namespace {
 /// Live grader for one `assert-window t0 t1 max-staleness s` directive: it
 /// fails the check as soon as some logged-in user's database record has
 /// disagreed with the mobility ground truth for longer than the bound,
-/// measuring streaks from the first in-window sample that disagrees. The
-/// tick grid is t0, t0 + p, t0 + 2p, ..., plus t1 itself (p =
-/// spec.sample_period). A single-shard world drives advance_to from
-/// per-tick events, so the grid is exact. A multi-shard world evaluates
-/// every tick that has elapsed at the first window barrier at or after it
-/// (state as of the barrier, tick time for the streak arithmetic): a
-/// quantisation bounded by one lookahead window (milliseconds against
-/// multi-second staleness bounds) and identical at every thread count.
+/// measuring streaks from the first in-window sample that disagrees. It
+/// samples at observation points on the tick grid t0, t0 + p, t0 + 2p, ...,
+/// plus t1 itself (p = spec.sample_period), at every shard count.
 struct WindowProbe {
   const ScenarioSpec* spec = nullptr;
   ShardedBipsSimulation* sim = nullptr;
   const ScenarioAssertion* a = nullptr;
   ScenarioCheck* out = nullptr;
   std::vector<SimTime> since;  // per user; SimTime::max() = in agreement
-  SimTime next_tick;
   bool done = false;
-
-  void advance_to(SimTime edge) {
-    while (!done && next_tick <= edge && next_tick <= a->until) {
-      sample(next_tick);
-      next_tick = next_tick + spec->sample_period;
-    }
-    if (!done && edge >= a->until) {
-      sample(a->until);  // the window includes its last instant
-      finish();
-    }
-  }
 
   void sample(SimTime tick) {
     if (done) return;
@@ -778,9 +761,6 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario(
   ShardedConfig cfg;
   cfg.base = spec.config;
   cfg.shards = shards;
-  // A one-shard run honours the `zones` directive; multi-shard runs align
-  // the location shards with the simulator zones.
-  if (shards == 1) cfg.service_zones = spec.config.server.zones;
   auto sim = std::make_unique<ShardedBipsSimulation>(spec.building, cfg);
   for (const auto& u : spec.users) {
     sim->add_user(u.name, u.userid, u.password, u.room);
@@ -822,18 +802,13 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario(
     }
   }
 
-  // Assertion graders. All state lives on this stack frame: every grading
-  // instant lies at or before run_time (validated by the parser), i.e.
-  // inside the run_for below. A single-shard world grades whereis as an
-  // event at its instant. A multi-shard world grades each one at the first
-  // window barrier at or after its instant (every shard is quiescent
-  // there, so the cross-shard server read is safe; the quantisation is
-  // bounded by one window and identical at every thread count).
-  struct WhereIsProbe {
-    const ScenarioAssertion* a = nullptr;
-    ScenarioCheck* out = nullptr;
-  };
-  std::vector<WhereIsProbe> pending;
+  // Assertion graders: observation points on their exact instants, at
+  // every shard count (sim::ShardGroup::observe_at). All state lives on
+  // this stack frame: every grading instant lies at or before run_time
+  // (validated by the parser), so every point fires inside the run_for
+  // below.
+  sim::ShardGroup& group = sim->group();
+  const SimTime end(spec.run_time.ns());
   const auto grade = [raw, &spec](const ScenarioAssertion& a,
                                   ScenarioCheck* out) {
     const ScenarioUser& u = spec.users[a.user];
@@ -857,9 +832,6 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario(
   std::unique_ptr<fault::InvariantChecker> inv;
   std::vector<ScenarioCheck*> inv_checks;
   std::vector<std::pair<const ScenarioAssertion*, ScenarioCheck*>> min_checks;
-  std::unique_ptr<sim::PeriodicTimer> inv_timer;  // single-shard cadence
-  SimTime inv_next;                               // multi-shard tick grid
-  const bool single = sim->shard_count() == 1;
   if (report != nullptr) {
     report->checks.clear();
     report->checks.reserve(spec.assertions.size());
@@ -877,12 +849,7 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario(
       ScenarioCheck* out = &report->checks[i];
       switch (a.kind) {
         case ScenarioAssertion::Kind::kWhereIsAt:
-          if (single) {
-            sim->shard_simulator(0).schedule_at(
-                a.at, [&grade, aa = &a, out] { grade(*aa, out); });
-          } else {
-            pending.push_back(WhereIsProbe{&a, out});
-          }
+          group.observe_at(a.at, [&grade, aa = &a, out] { grade(*aa, out); });
           break;
         case ScenarioAssertion::Kind::kMaxStalenessWindow: {
           auto probe = std::make_unique<WindowProbe>();
@@ -891,19 +858,14 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario(
           probe->a = &a;
           probe->out = out;
           probe->since.assign(spec.users.size(), SimTime::max());
-          probe->next_tick = a.at;
-          if (single) {
-            // Exact tick grid as in-simulation events: every sample_period
-            // from a.at, plus a.until itself.
-            WindowProbe* p = probe.get();
-            for (SimTime t = a.at; t < a.until;
-                 t = t + spec.sample_period) {
-              sim->shard_simulator(0).schedule_at(t,
-                                                  [p, t] { p->advance_to(t); });
-            }
-            sim->shard_simulator(0).schedule_at(
-                a.until, [p, t = a.until] { p->advance_to(t); });
+          WindowProbe* p = probe.get();
+          for (SimTime t = a.at; t < a.until; t = t + spec.sample_period) {
+            group.observe_at(t, [p, t] { p->sample(t); });
           }
+          group.observe_at(a.until, [p] {
+            p->sample(p->a->until);  // the window includes its last instant
+            p->finish();
+          });
           probes.push_back(std::move(probe));
           break;
         }
@@ -920,13 +882,9 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario(
                              Duration::seconds(20));
             inv = std::make_unique<fault::InvariantChecker>(
                 fault::world_view(*raw), icfg);
-            if (single) {
-              inv_timer = std::make_unique<sim::PeriodicTimer>(
-                  sim->shard_simulator(0), spec.sample_period,
-                  [p = inv.get()] { p->sample(); });
-              inv_timer->start();
-            } else {
-              inv_next = SimTime::zero() + spec.sample_period;
+            for (SimTime t = SimTime::zero() + spec.sample_period; t <= end;
+                 t = t + spec.sample_period) {
+              group.observe_at(t, [p = inv.get()] { p->sample(); });
             }
           }
           inv_checks.push_back(out);
@@ -936,36 +894,12 @@ std::unique_ptr<ShardedBipsSimulation> run_scenario(
           break;
       }
     }
-    const bool need_hook =
-        !single && (!pending.empty() || !probes.empty() || inv != nullptr);
-    if (need_hook) {
-      sim->set_barrier_hook([&grade, &pending, &probes, &inv, &inv_next,
-                             &spec](SimTime edge) {
-        for (WhereIsProbe& p : pending) {
-          if (p.out != nullptr && p.a->at <= edge) {
-            grade(*p.a, p.out);
-            p.out = nullptr;  // graded; never re-evaluated
-          }
-        }
-        for (auto& p : probes) {
-          if (p->a->at <= edge) p->advance_to(edge);
-        }
-        if (inv) {
-          while (inv_next <= edge) {
-            inv->sample();
-            inv_next = inv_next + spec.sample_period;
-          }
-        }
-      });
-    }
   }
 
   if (pre_run) pre_run(*sim);
   sim->run_for(spec.run_time, threads);
-  sim->set_barrier_hook({});  // the probes above die with this frame
 
   if (inv) {
-    if (inv_timer) inv_timer->stop();
     // The convergence contract only binds once the plan has healed and the
     // recovery bound has elapsed (the bound the chaos tests use).
     if (spec.fault_plan.heal_time() + Duration::seconds(40) <=

@@ -26,10 +26,10 @@
 //   edge lobby lab 18       # ... or given explicitly (walking metres)
 //   user Alice alice pw lobby
 //   station-timeout 10      # server failure detector (0 = off)
-//   zones 3                 # location-service shards (1 = single database;
-//                           # answers are identical at every count -- a
-//                           # multi-shard replay always aligns its service
-//                           # shards with the simulator zones)
+//   zones 3                 # location-service shards, at any --shards
+//                           # (1 = single database; omitted = one per
+//                           # simulator zone; answers are identical at
+//                           # every count)
 //   run 300                 # simulated seconds
 //   sample 1                # tracking-metric sample period (s)
 //
@@ -192,9 +192,9 @@ std::optional<ScenarioSpec> parse_scenario(const std::string& text,
 /// One shard is the paper's single-zone deployment and the default. The
 /// run -- history CSV, presence stream, tracking scorecard, assertion
 /// outcomes -- is byte-identical for every thread count, so CI replays a
-/// scenario at `--threads 1` and `--threads 4` and diffs the histories.
-/// A one-shard run builds `zones N` location shards; a multi-shard run
-/// aligns its location shards with the simulator zones.
+/// scenario at `--threads 1` and `--threads 4` and diffs the reports and
+/// histories. `zones N` builds N location shards at every shard count;
+/// without it the location shards follow the simulator zones.
 ///
 /// `pre_run` is invoked on the fully built (not yet run) simulation -- the
 /// hook for attaching a trace sink or toggling the metrics registry before
@@ -202,12 +202,13 @@ std::optional<ScenarioSpec> parse_scenario(const std::string& text,
 ///
 /// With a `report`, every assertion is graded into it (one ScenarioCheck
 /// per assertion directive, file order); without one the assertions are
-/// not evaluated, so a workload-only run costs nothing extra. In a
-/// multi-shard world `assert-at whereis` and `assert-window max-staleness`
-/// grade at the first synchronisation barrier at or after each directive
-/// instant (a deterministic, window-bounded quantisation), and `assert-final
-/// no-invariant-violations` samples the InvariantChecker at barriers; a
-/// single-shard world grades all of them on the exact instants.
+/// not evaluated, so a workload-only run costs nothing extra. Every grader
+/// observes the world at exact instants through observation points
+/// (sim::ShardGroup::observe_at), at every shard count: `assert-at whereis`
+/// at its instant, `assert-window max-staleness` on its tick grid, and
+/// `assert-final no-invariant-violations` samples the InvariantChecker every
+/// sample period. In a multi-shard world the database read there is the
+/// one the last barrier merged.
 std::unique_ptr<ShardedBipsSimulation> run_scenario(
     const ScenarioSpec& spec, unsigned threads = 1, std::size_t shards = 1,
     const std::function<void(ShardedBipsSimulation&)>& pre_run = {},

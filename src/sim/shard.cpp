@@ -114,51 +114,36 @@ void ShardGroup::drain_mailboxes() {
   }
 }
 
+void ShardGroup::observe_at(SimTime t, std::function<void()> fn) {
+  BIPS_ASSERT_MSG(t >= now_, "observation point in the group's past");
+  observers_.emplace(t, std::move(fn));
+}
+
+void ShardGroup::observe(SimTime t) {
+  now_ = t;
+  // An observer may register further points, at `t` itself included, so
+  // take one at a time off the front.
+  while (!observers_.empty() && observers_.begin()->first <= t) {
+    std::function<void()> fn = std::move(observers_.begin()->second);
+    observers_.erase(observers_.begin());
+    fn();
+  }
+}
+
 void ShardGroup::run_until(SimTime until, Duration window, unsigned threads) {
   BIPS_ASSERT(window > Duration(0));
   BIPS_ASSERT(until >= now_);
   const std::size_t nworkers = std::max<std::size_t>(
       1, std::min<std::size_t>(threads, shards_.size()));
 
-  const auto next_edge = [this, until, window] {
-    // Guard the addition: an unbounded window (INT64_MAX ns) must clamp to
-    // `until`, not overflow.
-    return (until - now_ <= window) ? until : now_ + window;
-  };
-  const auto finish_window = [this](SimTime w_end) {
-    now_ = w_end;
-    ++windows_;
-    drain_mailboxes();
-    if (hook_) {
-      hook_(w_end);
-      // The hook runs single-threaded at the barrier and may itself post
-      // cross-shard mail (the sharded harness's barrier merge fans
-      // subscriber pushes and resync requests out through the uplinks).
-      // That mail is due inside the *next* window, so it must be moved
-      // into the destination heaps before the window runs -- a drain at
-      // the following barrier would be one window too late.
-      drain_mailboxes();
-    }
-  };
-
-  if (nworkers == 1) {
-    while (now_ < until) {
-      const SimTime w_end = next_edge();
-      window_end_ = w_end;
-      run_window_shards(0, 1, w_end);
-      finish_window(w_end);
-    }
-    return;
-  }
-
   // Persistent worker pool for this run: an epoch counter releases the
-  // workers into a window; each worker advances its statically-assigned
-  // shards (k = worker, worker + n, worker + 2n, ...) and bumps `done`. The
-  // main thread participates as worker 0, then waits for the others before
-  // draining mailboxes single-threaded. All cross-thread data (the target
-  // edge, shard heaps, outboxes) is ordered by the release/acquire pairs on
-  // `epoch` and `done`; shard-to-worker assignment never affects results
-  // because shards share no state inside a window.
+  // workers towards a target instant; each worker advances its
+  // statically-assigned shards (k = worker, worker + n, worker + 2n, ...)
+  // and bumps `done`. The main thread participates as worker 0, then waits
+  // for the others; with one worker it runs every shard alone. All
+  // cross-thread data (the target, shard heaps, outboxes) is ordered by the
+  // release/acquire pairs on `epoch` and `done`; shard-to-worker assignment
+  // never affects results because shards share no state inside a window.
   struct Pool {
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<std::uint64_t> done{0};
@@ -188,18 +173,42 @@ void ShardGroup::run_until(SimTime until, Duration window, unsigned threads) {
       }
     });
   }
-
-  while (now_ < until) {
-    const SimTime w_end = next_edge();
-    window_end_ = w_end;
-    pool.target = w_end;
+  // Runs every shard to `t`: an observation pause or a window edge.
+  const auto advance_to = [&](SimTime t) {
+    pool.target = t;
     pool.epoch.fetch_add(1, std::memory_order_release);
-    run_window_shards(0, nworkers, w_end);
+    run_window_shards(0, nworkers, t);
     spin_until([&] {
       return pool.done.load(std::memory_order_acquire) == nworkers - 1;
     });
     pool.done.store(0, std::memory_order_relaxed);
-    finish_window(w_end);
+  };
+
+  while (now_ < until) {
+    // Guard the addition: an unbounded window (INT64_MAX ns) must clamp to
+    // `until`, not overflow.
+    const SimTime w_end = (until - now_ <= window) ? until : now_ + window;
+    window_end_ = w_end;
+    while (!observers_.empty() && observers_.begin()->first < w_end) {
+      const SimTime t = observers_.begin()->first;
+      advance_to(t);
+      observe(t);
+    }
+    advance_to(w_end);
+    now_ = w_end;
+    ++windows_;
+    drain_mailboxes();
+    if (hook_) {
+      hook_(w_end);
+      // The hook runs single-threaded at the barrier and may itself post
+      // cross-shard mail (the sharded harness's barrier merge fans
+      // subscriber pushes and resync requests out through the uplinks).
+      // That mail is due inside the *next* window, so it must be moved
+      // into the destination heaps before the window runs -- a drain at
+      // the following barrier would be one window too late.
+      drain_mailboxes();
+    }
+    observe(w_end);
   }
 
   pool.stop.store(true, std::memory_order_release);

@@ -30,10 +30,15 @@
 //     it the FIFO tie-break of same-instant events -- never depends on
 //     thread scheduling;
 //   * the barrier (and hence any window hook) runs single-threaded.
+//
+// Observation points (observe_at) let a grader read the whole world at an
+// exact instant at every shard count: the group pauses every shard at the
+// instant, runs the observer single-threaded and resumes the same window.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -85,8 +90,10 @@ class ShardGroup {
   Simulator& shard(std::size_t k) { return *shards_[k]; }
   const Simulator& shard(std::size_t k) const { return *shards_[k]; }
 
-  /// The right edge of the last completed window (every shard's clock
-  /// stands exactly here between run_until calls).
+  /// The group clock: the right edge of the last completed window between
+  /// run_until calls (every shard's clock stands exactly here), and the
+  /// observation instant while observers run. It does not move while a
+  /// window's shards run.
   SimTime now() const { return now_; }
 
   /// Posts a cross-shard effect: `fn` will be scheduled on shard `dst` at
@@ -103,10 +110,22 @@ class ShardGroup {
   /// `threads`.
   void run_until(SimTime until, Duration window, unsigned threads);
 
+  /// Registers an observation point: run_until advances every shard to `t`
+  /// (every event at or before `t` has run, none after), then runs the
+  /// observers due at `t` single-threaded, in registration order, with
+  /// now() == t, then resumes the same window. No event, mail drain or
+  /// barrier merge moves, so a run is byte-identical with or without
+  /// observers as long as they only read the world. An instant that is also
+  /// a window edge is observed after that barrier's hook. `t` must not lie
+  /// before now(); call single-threaded (between run_until calls, from the
+  /// window hook or from an observer, which may register later points).
+  void observe_at(SimTime t, std::function<void()> fn);
+
   /// Single-threaded hook invoked at every window barrier (after the mail
-  /// drain), with the window's right edge. Samplers and assertion graders
-  /// hang here: every shard is quiescent at the barrier, so cross-shard
-  /// reads are safe and deterministic. The hook may itself post() (src
+  /// drain), with the window's right edge. The sharded harness merges its
+  /// zones' presence logs here: every shard is quiescent at the barrier, so
+  /// cross-shard reads and writes are safe and deterministic. The hook may
+  /// itself post() (src
   /// naming any shard) or schedule directly onto a shard -- barrier-time
   /// mail is drained again right after the hook returns, so it lands
   /// before the next window runs.
@@ -138,10 +157,14 @@ class ShardGroup {
 
   void run_window_shards(std::size_t worker, std::size_t stride, SimTime to);
   void drain_mailboxes();
+  /// Sets the clock to `t` and runs every observer due by then.
+  void observe(SimTime t);
 
   std::vector<std::unique_ptr<Simulator>> shards_;
   std::vector<Outbox> outboxes_;  // indexed by src shard
   std::function<void(SimTime)> hook_;
+  /// Pending observation points; equal instants keep registration order.
+  std::multimap<SimTime, std::function<void()>> observers_;
   SimTime now_ = SimTime::zero();
   SimTime window_end_ = SimTime::zero();  // right edge while a window runs
   std::uint64_t windows_ = 0;

@@ -39,15 +39,14 @@ std::size_t located_count(ShardedBipsSimulation& sim) {
   return n;
 }
 
-/// Samples `checker` once per simulated second on the one-shard world's
-/// simulator.
-std::unique_ptr<sim::PeriodicTimer> sample_every_second(
-    ShardedBipsSimulation& sim, InvariantChecker& checker) {
-  auto timer = std::make_unique<sim::PeriodicTimer>(
-      sim.shard_simulator(0), Duration::seconds(1),
-      [&checker] { checker.sample(); });
-  timer->start();
-  return timer;
+/// Samples `checker` once per simulated second up to `end`, from
+/// observation points (every shard stands exactly on the second there).
+void sample_every_second(ShardedBipsSimulation& sim,
+                         InvariantChecker& checker, Duration end) {
+  for (SimTime t = SimTime::zero() + Duration::seconds(1);
+       t <= SimTime::zero() + end; t = t + Duration::seconds(1)) {
+    sim.group().observe_at(t, [&checker] { checker.sample(); });
+  }
 }
 
 std::string join(const std::vector<std::string>& v) {
@@ -183,11 +182,12 @@ TEST(FaultRecovery, ChaosSeedsKeepInvariants) {
     const FaultPlan plan = FaultPlan::chaos(seed, sim.workstation_count());
     plan.apply_sharded(sim);
 
-    InvariantChecker checker(world_view(sim), InvariantChecker::Config{});
-    const auto timer = sample_every_second(sim, checker);
-
     // Boot + faulted window + recovery bound past the last heal.
-    sim.run_for(plan.heal_time() + Duration::seconds(40));
+    const Duration run = plan.heal_time() + Duration::seconds(40);
+    InvariantChecker checker(world_view(sim), InvariantChecker::Config{});
+    sample_every_second(sim, checker, run);
+
+    sim.run_for(run);
     checker.check_converged();
 
     EXPECT_TRUE(checker.ok())
@@ -207,9 +207,10 @@ TEST(FaultRecovery, ChaosSeedsKeepInvariants) {
 // after restart without touching the others.
 TEST(ShardFault, CrashedShardDegradesOnlyItsZone) {
   // One simulator zone, one location shard per corridor room.
+  SimulationConfig cfg = drill_config();
+  cfg.server.zones = 3;
   ShardedBipsSimulation sim(mobility::Building::corridor(3),
-                            ShardedConfig{.base = drill_config(),
-                                          .service_zones = 3});
+                            ShardedConfig{.base = cfg});
   sim.add_user("Alice", "alice", "pw", 0);
   sim.add_user("Bob", "bob", "pw", 1);
   sim.add_user("Carol", "carol", "pw", 2);
@@ -229,8 +230,9 @@ TEST(ShardFault, CrashedShardDegradesOnlyItsZone) {
   };
   auto check0 = zone_checker(0);
   auto check2 = zone_checker(2);
-  const auto timer0 = sample_every_second(sim, *check0);
-  const auto timer2 = sample_every_second(sim, *check2);
+  // The drill below runs 80 + 10 + 20 s.
+  sample_every_second(sim, *check0, Duration::seconds(110));
+  sample_every_second(sim, *check2, Duration::seconds(110));
 
   sim.run_for(Duration::seconds(80));
   ASSERT_EQ(located_count(sim), 3u) << "deployment failed to enroll everyone";
@@ -288,8 +290,9 @@ TEST(ShardFault, ChaosStaysGreenPerZoneWithShardedService) {
     SimulationConfig cfg = drill_config();
     cfg.seed = seed;
     cfg.lan.loss = 0.01;
+    cfg.server.zones = 3;
     ShardedBipsSimulation sim(mobility::Building::corridor(3),
-                              ShardedConfig{.base = cfg, .service_zones = 3});
+                              ShardedConfig{.base = cfg});
     sim.add_user("Alice", "alice", "pw", 0);
     sim.add_user("Bob", "bob", "pw", 1);
     sim.add_user("Carol", "carol", "pw", 2);
@@ -297,9 +300,9 @@ TEST(ShardFault, ChaosStaysGreenPerZoneWithShardedService) {
     const FaultPlan plan = FaultPlan::chaos(seed, sim.workstation_count());
     plan.apply_sharded(sim);
 
+    const Duration run = plan.heal_time() + Duration::seconds(40);
     const auto& svc = sim.server().locations();
     std::vector<std::unique_ptr<InvariantChecker>> checkers;
-    std::vector<std::unique_ptr<sim::PeriodicTimer>> timers;
     for (std::size_t zone = 0; zone < svc.shard_count(); ++zone) {
       InvariantChecker::Config icfg;
       icfg.station_filter = [&svc, zone](StationId s) {
@@ -307,10 +310,10 @@ TEST(ShardFault, ChaosStaysGreenPerZoneWithShardedService) {
       };
       checkers.push_back(
           std::make_unique<InvariantChecker>(world_view(sim), std::move(icfg)));
-      timers.push_back(sample_every_second(sim, *checkers.back()));
+      sample_every_second(sim, *checkers.back(), run);
     }
 
-    sim.run_for(plan.heal_time() + Duration::seconds(40));
+    sim.run_for(run);
     for (std::size_t zone = 0; zone < checkers.size(); ++zone) {
       checkers[zone]->check_converged();
       EXPECT_TRUE(checkers[zone]->ok())

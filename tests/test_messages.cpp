@@ -367,7 +367,7 @@ TEST(QueryWire, RejectsTruncationAtEveryByte) {
   res.room = "lab";
   res.users = {"Alice"};
   res.visits = {{"lab", true, SimTime(9)}};
-  for (const Message m :
+  for (const Message& m :
        {Message(Query::history_since("alice", "Bob", SimTime(5))),
         Message(res)}) {
     const Bytes b = encode(m);
@@ -379,10 +379,10 @@ TEST(QueryWire, RejectsTruncationAtEveryByte) {
 }
 
 TEST(MessagesExt, NewTagsRejectTruncation) {
-  for (const Message m : {Message(PresenceAck{1, 2}),
-                          Message(WhoIsInRequest{1, 2, "x"}),
-                          Message(SubscribeRequest{1, 2, "y", false}),
-                          Message(MovementEvent{1, "z", true, "r", 3})}) {
+  for (const Message& m : {Message(PresenceAck{1, 2}),
+                           Message(WhoIsInRequest{1, 2, "x"}),
+                           Message(SubscribeRequest{1, 2, "y", false}),
+                           Message(MovementEvent{1, "z", true, "r", 3})}) {
     Bytes b = encode(m);
     for (std::size_t cut = 1; cut < b.size(); ++cut) {
       EXPECT_FALSE(decode(Bytes(b.begin(), b.begin() + cut)).has_value());
@@ -418,8 +418,8 @@ TEST(SessionWire, LoginMessagesCarryEpochFields) {
 // Both session bodies lead with kSessionWireVersion; any other version
 // byte must be rejected outright, not misparsed against the new layout.
 TEST(SessionWire, LoginMessagesRejectWrongWireVersion) {
-  for (const Message m : {Message(LoginRequest{0xB1, "gm", "pw"}),
-                          Message(LoginReply{0xB1, true, ""})}) {
+  for (const Message& m : {Message(LoginRequest{0xB1, "gm", "pw"}),
+                           Message(LoginReply{0xB1, true, ""})}) {
     Bytes b = encode(m);
     ASSERT_GT(b.size(), 2u);
     ASSERT_EQ(b[1], kSessionWireVersion);  // tag byte, then version byte
@@ -435,7 +435,7 @@ TEST(SessionWire, LoginMessagesRejectTruncation) {
   req.prior_epoch = 9;
   LoginReply rep{0xB1, true, ""};
   rep.server_epoch = 9;
-  for (const Message m : {Message(req), Message(rep)}) {
+  for (const Message& m : {Message(req), Message(rep)}) {
     const Bytes b = encode(m);
     for (std::size_t cut = 1; cut < b.size(); ++cut) {
       EXPECT_FALSE(decode(Bytes(b.begin(), b.begin() + cut)).has_value())

@@ -4,6 +4,7 @@
 // of the discovery history, the tracking grades, or the energy ledgers.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -175,6 +176,98 @@ TEST(ShardGroupDeterminism, MailboxDrainOrderIsThreadCountInvariant) {
   EXPECT_EQ(one, eight);
 }
 
+// ---- ShardGroup observation points --------------------------------------
+
+// Shard k runs one event every millisecond, offset by k * 0.25 ms. Each
+// observer checks every shard against that schedule: exactly the events at
+// or before its instant have run.
+void check_observers_see_the_cut(unsigned threads) {
+  constexpr std::size_t kShards = 4;
+  constexpr int kEvents = 100;
+  const auto event_at = [](std::size_t k, int i) {
+    return SimTime::zero() +
+           Duration::micros(1000 * i + 250 * static_cast<std::int64_t>(k));
+  };
+  ShardGroup group(kShards);
+  std::vector<int> ran(kShards, 0);
+  for (std::size_t k = 0; k < kShards; ++k) {
+    for (int i = 0; i < kEvents; ++i) {
+      group.shard(k).schedule_at(event_at(k, i), [&ran, k] { ++ran[k]; });
+    }
+  }
+  // Inside 10 ms windows, two of them on an event's own instant.
+  const std::vector<SimTime> points = {
+      event_at(1, 13), SimTime::zero() + Duration::micros(37'600),
+      event_at(3, 71), SimTime::zero() + Duration::micros(71'900)};
+  std::size_t observed = 0;
+  for (const SimTime t : points) {
+    group.observe_at(t, [&group, &ran, &observed, event_at, t] {
+      ++observed;
+      EXPECT_EQ(group.now(), t);
+      for (std::size_t k = 0; k < kShards; ++k) {
+        int want = 0;
+        for (int i = 0; i < kEvents; ++i) want += event_at(k, i) <= t ? 1 : 0;
+        EXPECT_EQ(ran[k], want) << "shard " << k << " at " << t.to_seconds();
+        EXPECT_EQ(group.shard(k).now(), t);
+      }
+    });
+  }
+  group.run_until(SimTime::zero() + Duration::millis(120),
+                  Duration::millis(10), threads);
+  EXPECT_EQ(observed, points.size());
+  EXPECT_EQ(group.windows_run(), 12u);  // observing splits no window
+}
+
+TEST(ObservationPoints, MidWindowObserverSeesExactlyTheEventsAtOrBeforeIt) {
+  check_observers_see_the_cut(1);
+  check_observers_see_the_cut(4);
+}
+
+TEST(ObservationPoints, WindowEdgeIsObservedAfterThatBarriersHook) {
+  ShardGroup group(2);
+  const Duration window = Duration::millis(10);
+  // Mail posted in the second window is drained at its edge (20 ms), and
+  // the hook has run there, before the edge's observer.
+  group.shard(0).schedule_at(SimTime::zero() + Duration::millis(15), [&] {
+    group.post(0, 1, SimTime::zero() + Duration::millis(25), [] {});
+  });
+  SimTime last_hook = SimTime::zero();
+  group.set_window_hook([&last_hook](SimTime edge) { last_hook = edge; });
+  const SimTime edge = SimTime::zero() + Duration::millis(20);
+  bool observed = false;
+  group.observe_at(edge, [&] {
+    observed = true;
+    EXPECT_EQ(last_hook, edge);
+    EXPECT_EQ(group.now(), edge);
+    EXPECT_EQ(group.windows_run(), 2u);
+    EXPECT_EQ(group.mail_delivered(), 1u);
+  });
+  group.run_until(SimTime::zero() + Duration::millis(40), window, 2);
+  EXPECT_TRUE(observed);
+}
+
+TEST(ObservationPoints, ObserverCanRegisterALaterObserver) {
+  ShardGroup group(2);
+  std::vector<std::string> log;
+  const auto at = [](int ms) { return SimTime::zero() + Duration::millis(ms); };
+  const auto note = [&](const char* what) {
+    log.push_back(std::string(what) + "@" +
+                  std::to_string(group.now().ns() / 1'000'000));
+  };
+  group.observe_at(at(5), [&] {
+    note("a");
+    group.observe_at(at(33), [&] {
+      note("c");
+      group.observe_at(at(70), [&] { note("d"); });  // past this run
+    });
+    group.observe_at(at(5), [&] { note("b"); });  // same instant: runs next
+  });
+  group.run_until(at(50), Duration::millis(10), 2);
+  EXPECT_EQ(log, (std::vector<std::string>{"a@5", "b@5", "c@33"}));
+  group.run_until(at(100), Duration::millis(10), 2);
+  EXPECT_EQ(log, (std::vector<std::string>{"a@5", "b@5", "c@33", "d@70"}));
+}
+
 // ---- sharded full-stack equivalence -------------------------------------
 
 struct ShardedRun {
@@ -231,7 +324,7 @@ ShardedRun run_sharded(unsigned threads, std::size_t shards,
                        double sim_seconds,
                        Duration pause_min = Duration::seconds(1),
                        Duration pause_max = Duration::seconds(4),
-                       std::size_t service_zones = 0) {
+                       std::size_t zones = 0) {
   ShardedConfig cfg;
   cfg.base.seed = 0xB1B5'0001ull;
   cfg.base.stagger_inquiry = true;
@@ -240,7 +333,7 @@ ShardedRun run_sharded(unsigned threads, std::size_t shards,
   cfg.base.mobility.pause_min = pause_min;
   cfg.base.mobility.pause_max = pause_max;
   cfg.shards = shards;
-  cfg.service_zones = service_zones;
+  cfg.base.server.zones = zones;
   ShardedBipsSimulation sim(mobility::Building::grid(2, 4), cfg);
   for (int i = 0; i < 12; ++i) {
     sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
@@ -297,7 +390,7 @@ TEST(ShardedSimulation, ByteIdenticalAcrossThreadCounts) {
   // the same sharded simulator: the partitioning is invisible to queries.
   const ShardedRun single_db =
       run_sharded(4, 4, 120.0, Duration::seconds(1), Duration::seconds(4),
-                  /*service_zones=*/1);
+                  /*zones=*/1);
   EXPECT_EQ(one.queries, single_db.queries);
   EXPECT_EQ(one.history, single_db.history);
   EXPECT_EQ(one.tracking.samples, four.tracking.samples);
@@ -339,6 +432,77 @@ TEST(ShardedSimulation, SingleColumnBuildingClampsToOneShard) {
   sim.run_for(Duration::seconds(30), 4);
   EXPECT_EQ(sim.group().mail_delivered(), 0u);
   EXPECT_GT(sim.group().events_executed(), 0u);
+}
+
+TEST(ShardedSimulation, LocationShardsFollowTheZonesByDefault) {
+  ShardedConfig cfg;
+  cfg.shards = 4;
+  ShardedBipsSimulation sim(mobility::Building::grid(2, 4), cfg);
+  EXPECT_EQ(sim.shard_count(), 4u);
+  EXPECT_EQ(sim.server().locations().shard_count(), 4u);
+}
+
+// ---- observation points on the full stack --------------------------------
+
+struct Fingerprint {
+  std::string history;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t mail = 0;
+  std::uint64_t observations = 0;
+};
+
+/// 60 s of the restless 2x4 world on 4 workers, optionally read in full
+/// (ground truth, database, session, where-is) every 3.701 ms.
+Fingerprint run_observed(std::size_t shards, bool observe) {
+  ShardedConfig cfg;
+  cfg.base.seed = 0xB1B5'0005ull;
+  cfg.base.stagger_inquiry = true;
+  cfg.base.mobility.pause_min = Duration::seconds(1);
+  cfg.base.mobility.pause_max = Duration::seconds(4);
+  cfg.shards = shards;
+  ShardedBipsSimulation sim(mobility::Building::grid(2, 4), cfg);
+  for (int i = 0; i < 12; ++i) {
+    sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
+                 static_cast<mobility::RoomId>(i % 8));
+  }
+  Fingerprint out;
+  const Duration every = Duration::micros(3701);
+  std::function<void()> look = [&] {
+    ++out.observations;
+    for (int i = 0; i < 12; ++i) {
+      const std::string uid = "u" + std::to_string(i);
+      (void)sim.true_room(uid);
+      (void)sim.db_room(uid);
+      (void)sim.active_client(uid).logged_in();
+      (void)sim.server().query(core::BipsServer::Query::where_is(
+          "", "User " + std::to_string(i)));
+    }
+    sim.group().observe_at(sim.group().now() + every, look);
+  };
+  if (observe) sim.group().observe_at(SimTime::zero() + every, look);
+  sim.run_for(Duration::seconds(60), 4);
+
+  std::ostringstream hist;
+  sim.write_history_csv(hist);
+  out.history = hist.str();
+  out.events = sim.group().events_executed();
+  out.windows = sim.group().windows_run();
+  out.mail = sim.group().mail_delivered();
+  return out;
+}
+
+TEST(ObservationPoints, ObserversNeverPerturbARun) {
+  for (const std::size_t shards : {1u, 4u}) {
+    const Fingerprint plain = run_observed(shards, false);
+    const Fingerprint seen = run_observed(shards, true);
+    EXPECT_GT(seen.observations, 16'000u) << shards << " shards";
+    EXPECT_FALSE(plain.history.empty());
+    EXPECT_EQ(plain.history, seen.history) << shards << " shards";
+    EXPECT_EQ(plain.events, seen.events) << shards << " shards";
+    EXPECT_EQ(plain.windows, seen.windows) << shards << " shards";
+    EXPECT_EQ(plain.mail, seen.mail) << shards << " shards";
+  }
 }
 
 // ---- thread-owned presence ingest ---------------------------------------

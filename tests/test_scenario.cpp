@@ -59,7 +59,7 @@ TEST(ScenarioParser, DefaultsApplyWhenOmitted) {
   EXPECT_EQ(spec->config.seed, SimulationConfig{}.seed);
   EXPECT_TRUE(spec->users.empty());
   EXPECT_EQ(spec->run_time, Duration::seconds(300));
-  EXPECT_EQ(spec->config.server.zones, 1u);  // classic single database
+  EXPECT_EQ(spec->config.server.zones, 0u);  // one per simulator zone
 }
 
 TEST(ScenarioParser, ZonesDirectiveSetsServiceShards) {
@@ -301,7 +301,7 @@ run 400
   ASSERT_TRUE(spec.has_value()) << err.message;
   using K = fault::FaultEvent::Kind;
   std::size_t n_partition = 0, n_burst = 0, n_link = 0, n_server = 0,
-              n_station = 0;
+              n_station = 0, n_shard = 0;
   for (const auto& e : spec->fault_plan.events()) {
     switch (e.kind) {
       case K::kPartition: ++n_partition; break;
@@ -311,6 +311,8 @@ run 400
       case K::kServerRestart: ++n_server; break;
       case K::kStationCrash:
       case K::kStationRestart: ++n_station; break;
+      case K::kShardCrash:
+      case K::kShardRestart: ++n_shard; break;
     }
   }
   EXPECT_EQ(n_partition, 1u);
@@ -318,6 +320,7 @@ run 400
   EXPECT_EQ(n_link, 1u);
   EXPECT_EQ(n_server, 2u);
   EXPECT_EQ(n_station, 4u);  // scripted pair + chaos block's pair
+  EXPECT_EQ(n_shard, 0u);
 }
 
 TEST(ScenarioParser, ChaosBlockMatchesDirectChaosCall) {
@@ -648,9 +651,9 @@ sample 1
   EXPECT_TRUE(sim->active_client("alice").logged_in());
 }
 
-TEST(ScenarioRunner, ZonesDirectiveShardsTheServiceOfAPlainRun) {
-  // A plain run is one simulator zone, so nothing else would set the
-  // location-shard count: the file's `zones 2` must.
+/// Runs par_006_amnesia.bips (`zones 2`) on `shards` simulator zones and
+/// checks the location-shard count and the file's own assertions.
+void expect_par006_builds_two_location_shards(std::size_t shards) {
   std::ifstream in(BIPS_SOURCE_DIR
                    "/examples/scenarios/corpus/par_006_amnesia.bips");
   ASSERT_TRUE(in) << "corpus file not found";
@@ -659,13 +662,21 @@ TEST(ScenarioRunner, ZonesDirectiveShardsTheServiceOfAPlainRun) {
   ASSERT_TRUE(spec.has_value()) << err.message;
   ASSERT_EQ(spec->config.server.zones, 2u);
   ScenarioReport report;
-  auto sim = run_scenario(*spec, 1, 1, {}, &report);
-  EXPECT_EQ(sim->shard_count(), 1u);
+  auto sim = run_scenario(*spec, 1, shards, {}, &report);
+  EXPECT_EQ(sim->shard_count(), shards);
   EXPECT_EQ(sim->server().locations().shard_count(), 2u);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << "line " << c.line << ": " << c.detail;
   }
   EXPECT_FALSE(report.checks.empty());
+}
+
+TEST(ScenarioRunner, ZonesDirectiveShardsTheServiceOfAPlainRun) {
+  expect_par006_builds_two_location_shards(1);
+}
+
+TEST(ScenarioRunner, ZonesDirectiveMeansTheSameAtEveryShardCount) {
+  expect_par006_builds_two_location_shards(4);
 }
 
 TEST(ScenarioRunner, ScriptedCrashAndRecovery) {
