@@ -235,6 +235,7 @@ void RadioChannel::add_trigger(std::uint32_t ns, Vec2 pos, SimTime until,
     }
   }
   o.subs.resize(keep);
+  live_subs_ -= fired_cbs_.size();
   c_occ_wakeups_->inc(fired_cbs_.size());
   const SimTime now = sim_.now();
   for (OccupancyCallback& cb : fired_cbs_) cb(now);
@@ -280,10 +281,11 @@ OccupancySubId RadioChannel::subscribe_occupancy(std::uint32_t ns, Vec2 pos,
                                                  OccupancyCallback cb) {
   const OccupancySubId id = next_sub_id_++;
   occupancy(ns).subs.push_back(OccSubscriber{id, pos, std::move(cb)});
+  ++live_subs_;
   sub_order_.emplace_back(ns, id);
   // sub_order_ keeps stale entries (fired / cancelled subscriptions) until
   // this occasional compaction; liveness is re-checked on use either way.
-  if (sub_order_.size() > 64 && sub_order_.size() > 4 * live_subs()) {
+  if (sub_order_.size() > 64 && sub_order_.size() > 4 * live_subs_) {
     std::size_t keep = 0;
     for (const auto& [sns, sid] : sub_order_) {
       const auto& subs = occupancy(sns).subs;
@@ -304,18 +306,10 @@ void RadioChannel::unsubscribe_occupancy(std::uint32_t ns, OccupancySubId id) {
   for (std::size_t i = 0; i < subs.size(); ++i) {
     if (subs[i].id == id) {
       subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(i));
+      --live_subs_;
       return;
     }
   }
-}
-
-std::size_t RadioChannel::live_subs() const {
-  std::size_t n = inquiry_occ_.subs.size();
-  page_occ_.for_each(
-      [&n](std::uint64_t, const std::unique_ptr<Occupancy>& o) {
-        if (o) n += o->subs.size();
-      });
-  return n;
 }
 
 void RadioChannel::note_range(const RadioDevice* d) {
@@ -338,6 +332,7 @@ void RadioChannel::note_range(const RadioDevice* d) {
     }
   }
   sub_order_.clear();
+  live_subs_ -= fired_cbs_.size();
   c_occ_wakeups_->inc(fired_cbs_.size());
   const SimTime now = sim_.now();
   for (OccupancyCallback& cb : fired_cbs_) cb(now);

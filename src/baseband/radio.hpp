@@ -201,6 +201,8 @@ class RadioChannel {
                                      OccupancyCallback cb);
   /// Cancels a pending subscription (no-op if it already fired).
   void unsubscribe_occupancy(std::uint32_t ns, OccupancySubId id);
+  /// Subscriptions still pending in every namespace.
+  std::size_t live_subscriptions() const { return live_subs_; }
   /// Radius of the park predicate: 2 * (largest transmit range any device
   /// has shown) + ChannelConfig::ff_slack_m. The factor 2 closes the
   /// interference chain -- a skipped transmission can only matter through a
@@ -358,7 +360,6 @@ class RadioChannel {
   /// Registers a trigger point and fires satisfied subscriptions in `ns`.
   void add_trigger(std::uint32_t ns, Vec2 pos, SimTime until, ListenId id);
   void remove_trigger(std::uint32_t ns, ListenId id);
-  std::size_t live_subs() const;
   /// Tracks the largest transmit range seen; an increase re-fires every
   /// pending subscription (their park decisions used a smaller radius).
   void note_range(const RadioDevice* d);
@@ -402,6 +403,10 @@ class RadioChannel {
   Occupancy inquiry_occ_;
   FlatHashMap<std::unique_ptr<Occupancy>> page_occ_;
   std::uint64_t next_sub_id_ = 1;
+  // Pending subscriptions across every occupancy block, kept as a count so
+  // the sub_order_ compaction test costs O(1) however many page namespaces
+  // the shard has interned.
+  std::size_t live_subs_ = 0;
   // Global subscription order, used only by the rare wake-everything path
   // (max-range increase) so even that fires deterministically; entries
   // whose subscription already fired or was cancelled are skipped lazily.

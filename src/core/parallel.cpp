@@ -180,39 +180,55 @@ void ShardedBipsSimulation::add_user(const std::string& name,
 
   const std::size_t i = users_.size();
   const std::size_t owner = shard_of_room(start_room);
-  User u;
+  User& u = users_.emplace_back();
   u.userid = userid;
   u.name = name;
-  u.replicas.reserve(shard_count());
-  for (std::size_t k = 0; k < shard_count(); ++k) {
-    Shard& shard = *shards_[k];
-    ClientConfig ccfg;
-    ccfg.userid = userid;
-    ccfg.password = password;
-    ccfg.slave = cfg_.base.slave;
-    auto rep = std::make_unique<Replica>();
-    rep->client = std::make_unique<BipsClient>(group_.shard(k), shard.radio,
-                                               handheld_addr(i),
-                                               shard.rng.fork(),
-                                               std::move(ccfg));
-    rep->agent = std::make_unique<mobility::RandomWaypointAgent>(
-        group_.shard(k), building_, server_->paths(), shard.rng.fork(),
-        start_room, cfg_.base.mobility);
-    if (shard_count() > 1) {
-      rep->agent->set_domain(dom_lo(k), dom_hi(k),
-                             [this, i, k](mobility::TransitState st) {
-                               handle_exit(i, k, std::move(st));
-                             });
-    }
-    rep->active = (k == owner);
-    shard.clients_by_addr.emplace(rep->client->addr().raw(),
-                                  rep->client.get());
-    u.replicas.push_back(std::move(rep));
-  }
-  users_.push_back(std::move(u));
-  user_ids_.emplace(users_.back().userid, i);
+  u.password = password;
+  u.start_room = start_room;
+  u.replicas.resize(shard_count());
+  u.client_seeds.resize(shard_count());
+  user_ids_.emplace(u.userid, i);
   owner_.push_back(static_cast<std::uint32_t>(owner));
-  for (std::size_t k = 0; k < shard_count(); ++k) install_provider(i, k);
+  // Every shard's stream gives up a client fork and then an agent fork, as
+  // if every replica were built now, so no stream that ever runs moves.
+  // fork() is Rng(next_u64()): a replica built later needs only its client
+  // seed, and its agent's fork is dropped, because resume_transit replaces
+  // a resumed agent's stream with the one the walk carries.
+  for (std::size_t k = 0; k < shard_count(); ++k) {
+    Rng& rng = shards_[k]->rng;
+    u.client_seeds[k] = rng.next_u64();
+    const std::uint64_t agent_seed = rng.next_u64();
+    if (k == owner) build_replica(i, k, Rng(agent_seed)).active = true;
+  }
+  install_provider(i, owner);
+}
+
+ShardedBipsSimulation::Replica& ShardedBipsSimulation::build_replica(
+    std::size_t i, std::size_t k, Rng agent_rng) {
+  User& u = users_[i];
+  Shard& shard = *shards_[k];
+  ClientConfig ccfg;
+  ccfg.userid = u.userid;
+  ccfg.password = u.password;
+  ccfg.slave = cfg_.base.slave;
+  auto rep = std::make_unique<Replica>();
+  rep->client = std::make_unique<BipsClient>(group_.shard(k), shard.radio,
+                                             handheld_addr(i),
+                                             Rng(u.client_seeds[k]),
+                                             std::move(ccfg));
+  rep->agent = std::make_unique<mobility::RandomWaypointAgent>(
+      group_.shard(k), building_, server_->paths(), std::move(agent_rng),
+      u.start_room, cfg_.base.mobility);
+  if (shard_count() > 1) {
+    rep->agent->set_domain(dom_lo(k), dom_hi(k),
+                           [this, i, k](mobility::TransitState st) {
+                             handle_exit(i, k, std::move(st));
+                           });
+  }
+  shard.clients_by_addr.emplace(rep->client->addr().raw(),
+                                rep->client.get());
+  u.replicas[k] = std::move(rep);
+  return *u.replicas[k];
 }
 
 void ShardedBipsSimulation::install_provider(std::size_t i, std::size_t k) {
@@ -289,7 +305,9 @@ void ShardedBipsSimulation::resume_replica(std::size_t i, std::size_t dst,
                                            mobility::TransitState st,
                                            BipsClient::HandoffState session,
                                            bool shadowed, bool powered_off) {
-  Replica& rep = *users_[i].replicas[dst];
+  // First entry into this zone: build the replica here, on dst's worker.
+  std::unique_ptr<Replica>& slot = users_[i].replicas[dst];
+  Replica& rep = slot ? *slot : build_replica(i, dst, Rng());
   owner_[i] = static_cast<std::uint32_t>(dst);
   rep.active = true;
   rep.shadowed = shadowed;
@@ -308,8 +326,8 @@ void ShardedBipsSimulation::schedule_user_act(SimTime at,
   const std::size_t i = user_index(userid);
   for (std::size_t k = 0; k < shard_count(); ++k) {
     group_.shard(k).schedule_at(at, [this, i, k, act] {
-      Replica& rep = *users_[i].replicas[k];
-      if (rep.active) act(*rep.client, *rep.agent);
+      Replica* rep = users_[i].replicas[k].get();
+      if (rep && rep->active) act(*rep->client, *rep->agent);
     });
   }
 }
@@ -320,9 +338,9 @@ void ShardedBipsSimulation::schedule_radio_shadow(SimTime at,
   const std::size_t i = user_index(userid);
   for (std::size_t k = 0; k < shard_count(); ++k) {
     group_.shard(k).schedule_at(at, [this, i, k, shadowed] {
-      Replica& rep = *users_[i].replicas[k];
-      if (!rep.active || rep.shadowed == shadowed) return;
-      rep.shadowed = shadowed;
+      Replica* rep = users_[i].replicas[k].get();
+      if (!rep || !rep->active || rep->shadowed == shadowed) return;
+      rep->shadowed = shadowed;
       install_provider(i, k);
     });
   }
@@ -338,24 +356,24 @@ void ShardedBipsSimulation::schedule_power_cycle(SimTime at,
     // fired on whichever replica is live (the owner guard makes exactly one
     // fire; mid-blackout acts drop, identically at every thread count).
     group_.shard(k).schedule_at(at, [this, i, k] {
-      Replica& rep = *users_[i].replicas[k];
-      if (!rep.active || rep.powered_off) return;
-      rep.powered_off = true;
-      if (!rep.shadowed) {
-        rep.shadowed = true;
+      Replica* rep = users_[i].replicas[k].get();
+      if (!rep || !rep->active || rep->powered_off) return;
+      rep->powered_off = true;
+      if (!rep->shadowed) {
+        rep->shadowed = true;
         install_provider(i, k);
       }
-      rep.client->power_off();
+      rep->client->power_off();
     });
     group_.shard(k).schedule_at(at + off_for, [this, i, k] {
-      Replica& rep = *users_[i].replicas[k];
-      if (!rep.active || !rep.powered_off) return;
-      rep.powered_off = false;
-      if (rep.shadowed) {
-        rep.shadowed = false;
+      Replica* rep = users_[i].replicas[k].get();
+      if (!rep || !rep->active || !rep->powered_off) return;
+      rep->powered_off = false;
+      if (rep->shadowed) {
+        rep->shadowed = false;
         install_provider(i, k);
       }
-      rep.client->power_on();
+      rep->client->power_on();
     });
   }
 }

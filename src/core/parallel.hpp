@@ -6,9 +6,12 @@
 // With more shards it partitions the building into vertical zones
 // (contiguous column bands of room centres) and gives each zone its own
 // sim::Simulator shard carrying the zone's workstations, its own radio
-// channel, its own LAN segment and a dormant replica of every handheld. The
-// shards advance in conservative-lookahead windows under a sim::ShardGroup;
-// the only cross-shard traffic is
+// channel, its own LAN segment and a replica of every handheld that has
+// ever been in the zone: a handheld's replica on a zone is built the first
+// time that zone owns it (at add_user for its start zone, on its first seam
+// crossing into any other), and stays dormant while another zone owns it.
+// The shards advance in conservative-lookahead windows under a
+// sim::ShardGroup; the only cross-shard traffic is
 //   * zone-LAN -> server uplink datagrams (the server lives on shard 0),
 //     carried as mailbox events due at their precomputed delivery instant;
 //   * agent handoffs: a walker crossing a zone seam suspends its replica at
@@ -78,9 +81,11 @@ class ShardedBipsSimulation {
   ShardedBipsSimulation(const ShardedBipsSimulation&) = delete;
   ShardedBipsSimulation& operator=(const ShardedBipsSimulation&) = delete;
 
-  /// Registers a user and creates one handheld+agent replica per shard
-  /// (only the replica owning `start_room`'s zone is live). Call before
-  /// start().
+  /// Registers a user and builds its live handheld+agent replica on the
+  /// zone owning `start_room`. The replicas on the other zones are built on
+  /// the user's first crossing into them; add_user still draws their forks
+  /// from every shard's stream, in shard order, so each stream is the same
+  /// as if every replica were built here. Call before start().
   void add_user(const std::string& name, const std::string& userid,
                 const std::string& password, mobility::RoomId start_room);
 
@@ -209,7 +214,9 @@ class ShardedBipsSimulation {
 
   /// One user's presence on one shard. Every field is written only by the
   /// owning shard's events (or single-threaded between windows), so the
-  /// replicas need no locks.
+  /// replicas need no locks. Built only once the shard first owns the user;
+  /// an act, shadow or power cycle aimed at a shard that never built one
+  /// finds the user inactive there.
   struct Replica {
     std::unique_ptr<BipsClient> client;
     std::unique_ptr<mobility::RandomWaypointAgent> agent;
@@ -225,7 +232,17 @@ class ShardedBipsSimulation {
   struct User {
     std::string userid;
     std::string name;
-    std::vector<std::unique_ptr<Replica>> replicas;  // one per shard
+    std::string password;  // a replica's ClientConfig needs it
+    /// The agent constructor needs a room; resume_transit then moves a
+    /// replica built on first entry to where the walk crossed the seam.
+    mobility::RoomId start_room = 0;
+    /// One slot per shard, null until that shard first owns the user. Sized
+    /// at add_user and never resized: the worker building replica k writes
+    /// only element k, so no lock is needed.
+    std::vector<std::unique_ptr<Replica>> replicas;
+    /// Shard k's client fork seed (Rng::fork() is Rng(next_u64())), drawn
+    /// at add_user; consumed when replica k is built.
+    std::vector<std::uint64_t> client_seeds;
   };
 
   std::size_t shard_of_room(mobility::RoomId room) const;
@@ -239,6 +256,11 @@ class ShardedBipsSimulation {
   /// the parking shadow that wakes any quiesced master relying on a speed
   /// bound.
   void install_provider(std::size_t i, std::size_t k);
+  /// Builds user i's replica on shard k, inactive, touching only shard k's
+  /// simulator, radio, registry and clients_by_addr. `agent_rng` is the
+  /// agent's own fork at add_user; a replica built on first entry takes any
+  /// stream, since resume_transit installs the one the walk carries.
+  Replica& build_replica(std::size_t i, std::size_t k, Rng agent_rng);
   void handle_exit(std::size_t i, std::size_t k, mobility::TransitState st);
   void resume_replica(std::size_t i, std::size_t dst,
                       mobility::TransitState st,

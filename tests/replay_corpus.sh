@@ -11,11 +11,18 @@
 # The ff and exact scorecards are not compared: see ROADMAP.md on re-login
 # timing under fast-forward.
 #
+# The pair diffs cannot see a change that moves both sides of a pair alike
+# (say, every four-shard history), so the one-shard fast-forward and the
+# four-shard 1-thread history of every scenario must also match its SHA-256
+# in corpus_histories.sha256 next to this script (sha256sum -c format, file
+# names as written to OUT_DIR). A scenario without a pinned hash fails.
+#
 #   usage: replay_corpus.sh SCENARIO_RUNNER CORPUS_DIR OUT_DIR
 set -u
 runner=$1
 corpus=$2
 out=$3
+pins="$(cd "$(dirname "$0")" && pwd)/corpus_histories.sha256"
 mkdir -p "$out"
 status=0
 for f in "$corpus"/*.bips; do
@@ -52,6 +59,16 @@ for f in "$corpus"/*.bips; do
   done
   cmp -s "$out/$name-t1.graded" "$out/$name-t4.graded" ||
     { echo "FAIL: $name: 1-thread and 4-thread reports differ"; status=1; }
+  for mode in ff t1; do
+    pinned=$(awk -v f="$name-$mode.csv" '$2 == f' "$pins")
+    if [ -z "$pinned" ]; then
+      echo "FAIL: $name ($mode): no pinned history hash in $pins"
+      status=1
+    elif ! (cd "$out" && echo "$pinned" | sha256sum -c --status); then
+      echo "FAIL: $name ($mode): history differs from its pinned hash"
+      status=1
+    fi
+  done
   echo "$name: replayed"
 done
 exit $status

@@ -15,7 +15,9 @@
 #include "src/core/simulation.hpp"
 #include "src/fault/plan.hpp"
 #include "src/mobility/building.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/shard.hpp"
+#include "src/util/geom.hpp"
 
 namespace bips {
 namespace {
@@ -690,6 +692,169 @@ TEST(ShardedSimulation, ScriptedActsAndShadowFollowTheOwner) {
   // master dropped it via supervision timeout and the database shows no
   // current fix for it.
   EXPECT_FALSE(sim.db_room("grace").has_value());
+}
+
+// ---- replicas built on first entry ---------------------------------------
+
+/// True once shard k has built any client: BipsClient registers
+/// client.relogin in its shard's registry on construction.
+bool shard_has_client_rows(ShardedBipsSimulation& sim, std::size_t k) {
+  for (const obs::SnapshotRow& row :
+       sim.group().shard(k).obs().metrics.snapshot()) {
+    if (row.name.rfind("client.", 0) == 0) return true;
+  }
+  return false;
+}
+
+/// A 2x4 grid on four zones (zone = column = room % 4) where nobody moves
+/// unless a scripted act sends them.
+ShardedConfig pinned_four_zones(std::uint64_t seed) {
+  ShardedConfig cfg;
+  cfg.base.seed = seed;
+  cfg.base.stagger_inquiry = true;
+  cfg.base.mobility.pause_min = Duration::seconds(100000);
+  cfg.base.mobility.pause_max = Duration::seconds(100000);
+  cfg.shards = 4;
+  return cfg;
+}
+
+TEST(ReplicasOnFirstEntry, ZoneNoUserEntersBuildsNoClient) {
+  ShardedBipsSimulation sim(mobility::Building::grid(2, 4),
+                            pinned_four_zones(0xB1B5'000Bull));
+  ASSERT_EQ(sim.shard_count(), 4u);
+  for (int i = 0; i < 6; ++i) {
+    // Rooms 0 and 4: both in zone 0.
+    sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
+                 static_cast<mobility::RoomId>(4 * (i % 2)));
+  }
+  sim.run_for(Duration::seconds(60), 4);
+
+  EXPECT_TRUE(shard_has_client_rows(sim, 0));
+  EXPECT_FALSE(shard_has_client_rows(sim, 3));
+  std::size_t logged_in = 0;
+  for (int i = 0; i < 6; ++i) {
+    const std::string uid = "u" + std::to_string(i);
+    EXPECT_EQ(sim.owner_shard(uid), 0u) << uid;
+    logged_in += sim.active_client(uid).logged_in() ? 1 : 0;
+  }
+  EXPECT_GT(logged_in, 0u);  // the zone-0 replicas are really live
+}
+
+struct ActsRun {
+  std::string history;
+  std::vector<int> act_fires;  // per user
+  bool u3_logged_in_while_off = true;
+  bool u3_logged_in_at_end = false;
+  bool u1_located_at_end = true;
+  mobility::RoomId u0_room = mobility::kNoRoom;
+  mobility::RoomId u2_room = mobility::kNoRoom;
+  bool zone1_or_2_built = true;
+};
+
+/// Users only in zones 0 and 3, so every act, RF shadow and power cycle is
+/// also scheduled into zones 1 and 2, where none of their replicas was ever
+/// built.
+ActsRun run_acts_on_unbuilt_replicas(unsigned threads) {
+  ShardedBipsSimulation sim(mobility::Building::grid(2, 4),
+                            pinned_four_zones(0xB1B5'000Cull));
+  const mobility::RoomId start[] = {0, 4, 3, 7};  // zones 0, 0, 3, 3
+  for (int i = 0; i < 4; ++i) {
+    sim.add_user("User " + std::to_string(i), "u" + std::to_string(i), "pw",
+                 start[i]);
+  }
+  ActsRun out;
+  out.act_fires.assign(4, 0);
+  // Each act writes only its own user's counter, so even a double fire on
+  // two workers would show up as a count (and as a race under TSan).
+  auto walk = [&out](int user, mobility::RoomId to) {
+    return [&out, user, to](core::BipsClient&,
+                            mobility::RandomWaypointAgent& agent) {
+      ++out.act_fires[static_cast<std::size_t>(user)];
+      agent.walk_to(to);  // within the user's own zone: no seam crossing
+    };
+  };
+  sim.schedule_user_act(SimTime::zero() + Duration::seconds(20), "u0",
+                        walk(0, 4));
+  sim.schedule_user_act(SimTime::zero() + Duration::seconds(20), "u2",
+                        walk(2, 7));
+  sim.schedule_radio_shadow(SimTime::zero() + Duration::seconds(10), "u1",
+                            true);
+  sim.schedule_power_cycle(SimTime::zero() + Duration::seconds(15), "u3",
+                           Duration::seconds(20));
+  sim.group().observe_at(SimTime::zero() + Duration::seconds(25), [&] {
+    out.u3_logged_in_while_off = sim.active_client("u3").logged_in();
+  });
+  sim.run_for(Duration::seconds(120), threads);
+
+  std::ostringstream hist;
+  sim.write_history_csv(hist);
+  out.history = hist.str();
+  out.u3_logged_in_at_end = sim.active_client("u3").logged_in();
+  out.u1_located_at_end = sim.db_room("u1").has_value();
+  out.u0_room = sim.true_room("u0");
+  out.u2_room = sim.true_room("u2");
+  out.zone1_or_2_built =
+      shard_has_client_rows(sim, 1) || shard_has_client_rows(sim, 2);
+  return out;
+}
+
+TEST(ReplicasOnFirstEntry, ActsAimedAtUnbuiltReplicasFireOnceOnTheOwner) {
+  const ActsRun one = run_acts_on_unbuilt_replicas(1);
+  const ActsRun four = run_acts_on_unbuilt_replicas(4);
+  for (const ActsRun* r : {&one, &four}) {
+    EXPECT_FALSE(r->zone1_or_2_built);
+    EXPECT_EQ(r->act_fires, (std::vector<int>{1, 0, 1, 0}));
+    EXPECT_EQ(r->u0_room, 4u);
+    EXPECT_EQ(r->u2_room, 7u);
+    EXPECT_FALSE(r->u1_located_at_end);  // shadowed since t = 10 s
+    EXPECT_FALSE(r->u3_logged_in_while_off);
+    EXPECT_TRUE(r->u3_logged_in_at_end);  // powered back on at t = 35 s
+  }
+  EXPECT_FALSE(one.history.empty());
+  EXPECT_EQ(one.history, four.history);
+}
+
+TEST(ReplicasOnFirstEntry, FirstSeamCrossingResumesMidWalk) {
+  ShardedBipsSimulation sim(mobility::Building::grid(2, 4),
+                            pinned_four_zones(0xB1B5'000Dull));
+  sim.add_user("Ada", "ada", "pw", 0);
+  // Along the first row from zone 0 to zone 3: three first entries.
+  sim.schedule_user_act(
+      SimTime::zero() + Duration::seconds(5), "ada",
+      [](core::BipsClient&, mobility::RandomWaypointAgent& agent) {
+        agent.walk_to(3);
+      });
+
+  // Sample the walk every 20 ms. At the first sample owned by zone k the
+  // replica there is built and already walking, a few centimetres from the
+  // previous sample: it resumed mid-stride, not at the start room.
+  std::vector<std::size_t> first_entries;
+  std::size_t prev_owner = 0;
+  Vec2 prev_pos = sim.active_agent("ada").position();
+  bool built_before_entry = false;
+  const Duration every = Duration::millis(20);
+  std::function<void()> look = [&] {
+    const std::size_t owner = sim.owner_shard("ada");
+    mobility::RandomWaypointAgent& agent = sim.active_agent("ada");
+    if (owner != prev_owner) {
+      first_entries.push_back(owner);
+      EXPECT_TRUE(shard_has_client_rows(sim, owner)) << "zone " << owner;
+      EXPECT_TRUE(agent.walking()) << "zone " << owner;
+      EXPECT_LT(distance(agent.position(), prev_pos), 0.5) << "zone " << owner;
+    } else if (owner + 1 < sim.shard_count() &&
+               shard_has_client_rows(sim, owner + 1)) {
+      built_before_entry = true;
+    }
+    prev_owner = owner;
+    prev_pos = agent.position();
+    sim.group().observe_at(sim.group().now() + every, look);
+  };
+  sim.group().observe_at(SimTime::zero() + every, look);
+  sim.run_for(Duration::seconds(150), 4);
+
+  EXPECT_EQ(first_entries, (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_FALSE(built_before_entry);
+  EXPECT_EQ(sim.true_room("ada"), 3u);
 }
 
 // ---- server amnesia with a mid-walk user --------------------------------

@@ -577,6 +577,52 @@ TEST_F(RadioTest, CrossSetInterferenceClashesProbabilistically) {
   EXPECT_NEAR(loss, 1.0 / 79.0, 0.007);
 }
 
+TEST_F(RadioTest, RangeIncreaseFiresEveryLiveSubscriptionOnceInOrder) {
+  // Churn one-shot occupancy subscriptions across 200 namespaces (the
+  // inquiry one and 199 page ones), far past the 64-entry threshold at
+  // which the global subscription order compacts itself: in each, a
+  // trigger point fires two, two are cancelled first, and one (out of the
+  // trigger's reach) stays pending.
+  RadioChannel ch(sim, rng, cfg);
+  std::vector<int> fired;
+  auto record = [&fired](int tag) {
+    return [&fired, tag](SimTime) { fired.push_back(tag); };
+  };
+  const Vec2 near{0.0, 0.0};
+  const Vec2 far{500.0, 0.0};  // far beyond ff_radius() (22 m)
+  std::vector<int> fired_by_triggers;
+  std::vector<int> pending;
+  int tag = 0;
+  for (std::uint32_t ns = 0; ns < 200; ++ns) {
+    const int a = tag++, b = tag++, c = tag++, d = tag++, e = tag++;
+    ch.subscribe_occupancy(ns, near, record(a));
+    const OccupancySubId cancel_b = ch.subscribe_occupancy(ns, near, record(b));
+    ch.subscribe_occupancy(ns, far, record(c));
+    const OccupancySubId cancel_d = ch.subscribe_occupancy(ns, far, record(d));
+    ch.subscribe_occupancy(ns, near, record(e));
+    ch.unsubscribe_occupancy(ns, cancel_b);
+    ch.unsubscribe_occupancy(ns, cancel_d);
+    ch.unsubscribe_occupancy(ns, cancel_d);  // already gone: a no-op
+    ch.occupancy_hold(RfChannel{ns, 3}, near, sim.now() + Duration::millis(1));
+    fired_by_triggers.insert(fired_by_triggers.end(), {a, e});
+    pending.push_back(c);
+    ASSERT_EQ(ch.live_subscriptions(), pending.size()) << "namespace " << ns;
+  }
+  EXPECT_EQ(fired, fired_by_triggers);
+
+  // A device with a wider range widens ff_radius() under every parked
+  // subscriber: exactly the pending ones fire, once each, in subscription
+  // order.
+  fired.clear();
+  TestDevice wide(1);
+  wide.range = 30.0;
+  ch.transmit(&wide, kCh, id_packet(1));
+  EXPECT_EQ(fired, pending);
+  EXPECT_EQ(ch.live_subscriptions(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, pending);
+}
+
 TEST_F(RadioTest, CrossSetAtFullRateKillsEverything) {
   cfg.cross_set_interference = 1.0;
   RadioChannel ch(sim, rng, cfg);

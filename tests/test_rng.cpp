@@ -135,6 +135,15 @@ TEST(Rng, ForkedStreamsAreIndependentButDeterministic) {
     if (child.next_u64() == parent3.next_u64()) ++equal;
   }
   EXPECT_EQ(equal, 0);
+  // A fork is seeded by exactly one parent draw, so keeping that draw is
+  // enough to build the fork later (ShardedBipsSimulation's replicas
+  // built on first entry rely on it).
+  Rng parent4(99);
+  Rng later(parent4.next_u64());
+  Rng parent5(99);
+  Rng now = parent5.fork();
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(later.next_u64(), now.next_u64());
+  EXPECT_EQ(parent4.next_u64(), parent5.next_u64());
 }
 
 }  // namespace
