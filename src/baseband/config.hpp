@@ -93,10 +93,11 @@ struct ChannelConfig {
   /// Spatial delivery prefilter: listeners are indexed by RF channel and,
   /// once a channel is crowded, by a coarse position grid, so a transmission
   /// only visits listeners whose grid cells intersect its coverage disc.
-  /// Semantically neutral (the exact range check still runs per candidate)
-  /// except for the out_of_range stat, which only counts candidates that
-  /// reach the exact check. Disable to force the linear scan over every
-  /// listen on the channel (the equivalence test does).
+  /// Semantically neutral (every visited listener still gets the exact
+  /// range test, at the delivery instant and before candidates are ordered)
+  /// except for the out_of_range stat, which counts only the visited
+  /// listeners that fail that test. Disable to force the linear scan over
+  /// every listen on the channel (the equivalence test does).
   bool spatial_grid = true;
   /// Listener count above which one channel migrates from its flat listener
   /// list to the spatial grid (one-way). Most channels host a handful of

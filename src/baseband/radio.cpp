@@ -366,28 +366,39 @@ void RadioChannel::prune(TxQueue& q, SimTime now) {
 }
 
 void RadioChannel::gather_candidates(const ChannelState& cs,
-                                     const Transmission& tx) {
-  candidate_seqs_.clear();
+                                     const Transmission& tx, Vec2 from) {
   candidates_.clear();
-  // O(1) early-out: no listen anywhere on this channel (the common case for
-  // inquiry/page IDs swept across 32 hops).
-  if (cs.listens == 0) return;
-
+  // The exact range test runs on every visited entry before any ordering
+  // key is built, so only the few listeners in range get sorted. It reads
+  // positions at the delivery instant, for all candidates before any
+  // handler runs. That is exact because no handler can move a device:
+  // positions come from time-based providers, and a provider is installed
+  // only by scheduled acts and seam handoffs.
+  const double range = tx_range(tx.sender);
+  const double range_sq = range * range;
+  std::uint64_t out_of_range = 0;
   const auto consider = [&](const CellEntry& e) {
     if (e.device == tx.sender) return;
     if (e.since > tx.start) return;  // tuned in mid-packet: missed it
-    candidate_seqs_.push_back(
-        OrderKey{e.since, e.device->addr().raw(), e.seq, listen_slot_of(e.id)});
+    if (distance_sq(e.device->position(), from) > range_sq) {
+      ++out_of_range;
+      return;
+    }
+    candidates_.push_back(Candidate{e.since, e.device->addr().raw(), e.seq,
+                                    e.device, listen_slot_of(e.id)});
   };
 
   if (cs.grid) {
-    const Vec2 c = tx.sender->position();
-    const double reach = tx_range(tx.sender) + cfg_.grid_slack_m;
+    const double reach = range + cfg_.grid_slack_m;
     const double cell = cfg_.grid_cell_m;
-    const auto x0 = static_cast<std::int32_t>(std::floor((c.x - reach) / cell));
-    const auto x1 = static_cast<std::int32_t>(std::floor((c.x + reach) / cell));
-    const auto y0 = static_cast<std::int32_t>(std::floor((c.y - reach) / cell));
-    const auto y1 = static_cast<std::int32_t>(std::floor((c.y + reach) / cell));
+    const auto x0 =
+        static_cast<std::int32_t>(std::floor((from.x - reach) / cell));
+    const auto x1 =
+        static_cast<std::int32_t>(std::floor((from.x + reach) / cell));
+    const auto y0 =
+        static_cast<std::int32_t>(std::floor((from.y - reach) / cell));
+    const auto y1 =
+        static_cast<std::int32_t>(std::floor((from.y + reach) / cell));
     for (std::int32_t cx = x0; cx <= x1; ++cx) {
       for (std::int32_t cy = y0; cy <= y1; ++cy) {
         const std::vector<CellEntry>* entries =
@@ -399,26 +410,27 @@ void RadioChannel::gather_candidates(const ChannelState& cs,
   } else {
     for (const CellEntry& e : cs.flat) consider(e);
   }
+  c_out_of_range_->inc(out_of_range);
 
   // (since, addr, seq) order: deterministic, identical between the flat and
   // grid paths, independent of hash iteration order, arena slot reuse, and
   // -- via the address tie-break -- of how same-instant registrations by
   // different devices interleaved; the `since` component slots backdated
   // reconstructed listens exactly where their exact-mode twins would have
-  // sorted (see OrderKey in radio.hpp).
-  std::sort(candidate_seqs_.begin(), candidate_seqs_.end());
-  candidates_.reserve(candidate_seqs_.size());
-  for (const OrderKey& k : candidate_seqs_) {
-    candidates_.push_back(Candidate{lslots_[k.slot].device, k.slot});
-  }
+  // sorted (see Candidate in radio.hpp).
+  std::sort(candidates_.begin(), candidates_.end());
 }
 
 void RadioChannel::deliver(ChannelState& cs, const Transmission& tx) {
   TxQueue& q = cfg_.cross_set_interference > 0 ? global_recent_ : *cs.recent;
   prune(q, sim_.now());  // cannot evict `tx` itself: tx.end == now
+  // O(1) early-out: no listen anywhere on this channel (the common case for
+  // inquiry/page IDs swept across 32 hops).
+  if (cs.listens == 0) return;
 
   // Snapshot matching listeners first: on_packet may start/stop listens.
-  gather_candidates(cs, tx);
+  const Vec2 from = tx.sender->position();
+  gather_candidates(cs, tx, from);
   if (candidates_.empty()) return;
   in_delivery_ = true;
 
@@ -435,10 +447,6 @@ void RadioChannel::deliver(ChannelState& cs, const Transmission& tx) {
       q.begin());
 
   for (const Candidate& c : candidates_) {
-    if (!in_range(c.device, tx.sender)) {
-      c_out_of_range_->inc();
-      continue;
-    }
     // All randomness below (cross-set clash, packet error, RSSI shadowing)
     // comes from hash-derived streams keyed by the identity of the
     // (transmission, receiver) pair rather than from the shared generator:
@@ -455,8 +463,7 @@ void RadioChannel::deliver(ChannelState& cs, const Transmission& tx) {
     // Interference check: any other overlapping in-range transmission on
     // the same channel destroys the packet (BlueHoc collision rule).
     bool destroyed = false;
-    const double d_signal = distance(c.device->position(),
-                                     tx.sender->position());
+    const double d_signal = distance(c.device->position(), from);
     for (std::size_t i = first_idx; i < q.size() && q[i].start < tx.end; ++i) {
       const Transmission& other = q[i];
       if (other.sender == tx.sender && other.start == tx.start &&
@@ -503,8 +510,8 @@ void RadioChannel::deliver(ChannelState& cs, const Transmission& tx) {
     delivered.rssi_dbm = rssi_dbm(d_signal, rxr);
     // Copied, not referenced: the handler body may start listens, and arena
     // growth would move a std::function we are standing inside. Deliveries
-    // are rare (most candidates fail the range check first), so this copy
-    // is off the hot path.
+    // are rare (most listeners fail the range test in gather_candidates),
+    // so this copy is off the hot path.
     PacketHandler handler = lslots_[c.slot].handler;
     if (handler) {
       handler(delivered, tx.ch, tx.end);

@@ -28,11 +28,16 @@
 // sit in start-time order (one queue per inquiry hop, one per page
 // namespace), so the collision-overlap check scans a bounded window instead
 // of every recent transmission in the building.
-// Candidate listeners are visited in registration order, which makes
-// delivery deterministic and independent of both hash-map iteration order
-// and the flat/grid mode split; per-reception randomness is drawn from
-// hash-derived streams keyed by (transmission, receiver), never from the
-// shared generator, so one reception can never shift another's draws.
+// A delivery first applies the exact range test to every listener entry
+// it visits (the whole flat list, or the grid cells near the sender), with
+// positions read at the delivery instant, and counts the misses in
+// radio.out_of_range. Only the listeners in range are then ordered by
+// (registration time, address, registration seq) and visited in that
+// order, which makes delivery deterministic and independent of both
+// hash-map iteration order and the flat/grid mode split; per-reception
+// randomness is drawn from hash-derived streams keyed by (transmission,
+// receiver), never from the shared generator, so one reception can never
+// shift another's draws.
 //
 // The channel also maintains the occupancy index behind the virtual-slot
 // fast-forward (DESIGN.md section 5c): per hop-set namespace it tracks the
@@ -324,16 +329,6 @@ class RadioChannel {
     std::vector<OccSubscriber> subs;
   };
 
-  // A gathered listener, by arena slot: no handler copy during the gather
-  // (the handler std::function is only copied for the rare candidate that
-  // actually receives). Slots stopped while a delivery is in progress are
-  // retired lazily (deferred_free_), so the slot's handler survives until
-  // the snapshot is done even if an earlier candidate's handler stopped it.
-  struct Candidate {
-    RadioDevice* device;
-    std::uint32_t slot;
-  };
-
   // One page namespace: a paged address's 32 hop channels, direct-indexed,
   // and the one transmission queue they share. A namespace carries only the
   // page trains aimed at one handheld and that handheld's replies, so the
@@ -349,7 +344,10 @@ class RadioChannel {
   ChannelState& channel_state(RfChannel ch);
   void migrate_to_grid(ChannelState& cs);
   void deliver(ChannelState& cs, const Transmission& tx);
-  void gather_candidates(const ChannelState& cs, const Transmission& tx);
+  /// Fills candidates_ with the listeners in range of `tx`, sent from
+  /// `from`, in delivery order; counts the rest in radio.out_of_range.
+  void gather_candidates(const ChannelState& cs, const Transmission& tx,
+                         Vec2 from);
   void prune(TxQueue& q, SimTime now);
   bool in_range(const RadioDevice* rx, const RadioDevice* tx) const;
   double tx_range(const RadioDevice* tx) const;
@@ -413,8 +411,12 @@ class RadioChannel {
   std::vector<std::pair<std::uint32_t, OccupancySubId>> sub_order_;
   // Scratch for subscription firing (callbacks may re-subscribe).
   std::vector<OccupancyCallback> fired_cbs_;
-  // Scratch buffers reused across deliveries (deliver never nests: handlers
-  // run from the event loop and can only schedule, not deliver, packets).
+  // A listener in range of the packet being delivered, gathered by arena
+  // slot: no handler copy during the gather (the handler std::function is
+  // only copied for a candidate that actually receives). Slots stopped
+  // while a delivery is in progress are retired lazily (deferred_free_), so
+  // the slot's handler survives until the snapshot is done even if an
+  // earlier candidate's handler stopped it.
   // Candidates order by (registration time, listener address, registration
   // seq). `since` first: a backdated reconstructed listen sorts exactly
   // where its exact-mode counterpart would have. The address tie-break
@@ -424,18 +426,20 @@ class RadioChannel {
   // re-enters the FIFO at a different position than the exact path's
   // re-arm); one device's own same-instant listens keep their per-device
   // registration order via seq.
-  struct OrderKey {
+  struct Candidate {
     SimTime since;
     std::uint64_t addr;
     std::uint64_t seq;
+    RadioDevice* device;
     std::uint32_t slot;
-    bool operator<(const OrderKey& o) const {
+    bool operator<(const Candidate& o) const {
       if (since != o.since) return since < o.since;
       if (addr != o.addr) return addr < o.addr;
       return seq < o.seq;
     }
   };
-  std::vector<OrderKey> candidate_seqs_;
+  // Scratch buffer reused across deliveries (deliver never nests: handlers
+  // run from the event loop and can only schedule, not deliver, packets).
   std::vector<Candidate> candidates_;
   // Listen slots stopped while a delivery is running: their free-list push
   // (and handler teardown) waits until the delivery finishes, so snapshot

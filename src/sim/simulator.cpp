@@ -44,13 +44,11 @@ EventHandle Simulator::schedule_at(SimTime at, Callback fn) {
     meta_.emplace_back();
   }
 
-  Slot& s = slots_[slot];
-  s.when = at;
-  s.fn = std::move(fn);
+  slots_[slot].fn = std::move(fn);
 
   const std::uint64_t seq = next_seq_++;
   BIPS_ASSERT_MSG(seq < kMaxSeq, "event sequence space exhausted");
-  heap_.push_back(HeapEntry{at, seq << kSlotBits | slot});
+  heap_.push_back(make_key(at, seq << kSlotBits | slot));
   meta_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
   return EventHandle(this, make_id(slot, meta_[slot].generation));
@@ -70,46 +68,57 @@ void Simulator::cancel(EventId id) {
 }
 
 void Simulator::sift_up(std::size_t pos) {
-  HeapEntry entry = heap_[pos];
+  const HeapKey key = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
-    if (!before(entry, heap_[parent])) break;
+    if (!(key < heap_[parent])) break;
     place(pos, heap_[parent]);
     pos = parent;
   }
-  place(pos, entry);
+  place(pos, key);
 }
 
 void Simulator::sift_down(std::size_t pos) {
-  HeapEntry entry = heap_[pos];
+  const HeapKey key = heap_[pos];
+  const HeapKey* h = heap_.data();
   const std::size_t n = heap_.size();
   for (;;) {
-    const std::size_t first_child = kArity * pos + 1;
-    if (first_child >= n) break;
-    // The grandchildren of `pos` occupy one contiguous index range
-    // (kArity^2 entries right after kArity * first_child); start pulling
-    // those lines in while the sibling comparison below picks the branch.
-    const std::size_t first_grandchild = kArity * first_child + 1;
-    if (first_grandchild < n) {
-      __builtin_prefetch(&heap_[first_grandchild]);
-      __builtin_prefetch(&heap_[std::min(first_grandchild + 2 * kArity,
-                                         n - 1)]);
+    const std::size_t c = kArity * pos + 1;  // first child
+    std::size_t best;
+    if (c + kArity <= n) {
+      // The grandchildren of `pos` occupy one contiguous index range
+      // (kArity^2 entries right after kArity * c); start pulling those
+      // lines in while the tournament below picks the least child.
+      const std::size_t g = kArity * c + 1;
+      if (g < n) {
+        __builtin_prefetch(&h[g]);
+        __builtin_prefetch(&h[std::min(g + 2 * kArity, n - 1)]);
+      }
+      // A full family: the least of four in a two-round tournament. Each
+      // compare becomes an index offset instead of a jump, so the pick has
+      // no data-dependent branch to mispredict (keys are unique: no ties).
+      const std::size_t a = c + static_cast<std::size_t>(h[c + 1] < h[c]);
+      const std::size_t b =
+          c + 2 + static_cast<std::size_t>(h[c + 3] < h[c + 2]);
+      best = a + (b - a) * static_cast<std::size_t>(h[b] < h[a]);
+    } else {
+      // The one family a heap can have with fewer than four children.
+      if (c >= n) break;
+      best = c;
+      for (std::size_t i = c + 1; i < n; ++i) {
+        if (h[i] < h[best]) best = i;
+      }
     }
-    const std::size_t last_child = std::min(first_child + kArity, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], entry)) break;
-    place(pos, heap_[best]);
+    if (!(h[best] < key)) break;
+    place(pos, h[best]);
     pos = best;
   }
-  place(pos, entry);
+  place(pos, key);
 }
 
 void Simulator::heap_remove(std::size_t pos) {
   BIPS_ASSERT(pos < heap_.size());
-  meta_[slot_of_entry(heap_[pos])].heap_pos = kNullPos;
+  meta_[slot_of_key(heap_[pos])].heap_pos = kNullPos;
   const std::size_t last = heap_.size() - 1;
   if (pos != last) {
     heap_[pos] = heap_[last];
@@ -131,11 +140,11 @@ void Simulator::retire(std::uint32_t slot) {
 }
 
 Callback Simulator::take_front() {
-  const std::uint32_t slot = slot_of_entry(heap_.front());
-  Slot& s = slots_[slot];
-  BIPS_ASSERT(s.when >= now_);
-  now_ = s.when;
-  Callback fn = std::move(s.fn);
+  const HeapKey front = heap_.front();
+  const std::uint32_t slot = slot_of_key(front);
+  BIPS_ASSERT(when_of(front) >= now_);
+  now_ = when_of(front);
+  Callback fn = std::move(slots_[slot].fn);
   heap_remove(0);
   // Retire before invoking: the callback may schedule new events (reusing
   // this slot under a fresh generation) or cancel its own, now stale, id.
@@ -159,7 +168,7 @@ bool Simulator::step() {
 
 void Simulator::run_until(SimTime until) {
   BIPS_ASSERT(until >= now_);
-  while (!heap_.empty() && heap_.front().when <= until) {
+  while (!heap_.empty() && when_of(heap_.front()) <= until) {
     Callback fn = take_front();
     fn();
   }

@@ -104,16 +104,16 @@ class Simulator {
   // backpointer updates per sift, and the 4-child minimum scan reads one
   // 64-byte cache line of contiguous 16-byte entries.
   static constexpr std::size_t kArity = 4;
-  // HeapEntry packs (seq, slot) into one word: slot in the low 24 bits,
-  // insertion sequence in the high 40. Comparing the packed word compares
-  // seq first (seqs are unique, so the slot bits never decide an order).
+  // The low word of a heap key packs (seq, slot): slot in the low 24 bits,
+  // insertion sequence in the high 40. Seqs are unique, so the slot bits
+  // never decide an order.
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
 
-  // Per-event arena slot: the cold payload (callback plus its fire time).
+  // Per-event arena slot: the cold payload. The fire time lives only in
+  // the event's heap key.
   struct Slot {
-    SimTime when = SimTime::zero();
     Callback fn;
   };
   // Hot per-slot bookkeeping, kept in a dense parallel array so the sift
@@ -126,15 +126,23 @@ class Simulator {
     std::uint32_t heap_pos = kNullPos;
   };
 
-  // Heap entries carry the full (when, seq) ordering key so sift
-  // comparisons stay within the heap array instead of chasing arena
-  // pointers; 16 bytes, so four children share a cache line.
-  struct HeapEntry {
-    SimTime when;
-    std::uint64_t seqslot;  // seq << kSlotBits | slot
-  };
-  static std::uint32_t slot_of_entry(const HeapEntry& e) {
-    return static_cast<std::uint32_t>(e.seqslot) & kSlotMask;
+  // A heap entry is its whole (when, seq) ordering key in one 128-bit
+  // word: the fire time in the high 64 bits, seq << kSlotBits | slot in the
+  // low 64. Nothing fires before time zero, so unsigned order on the word
+  // is exactly (when, seq) order and one compare-with-borrow decides it
+  // without a branch. Sift comparisons stay within the heap array instead
+  // of chasing arena pointers; 16 bytes, so four children share a cache
+  // line.
+  using HeapKey = unsigned __int128;
+  static HeapKey make_key(SimTime when, std::uint64_t seqslot) {
+    return static_cast<HeapKey>(static_cast<std::uint64_t>(when.ns())) << 64 |
+           seqslot;
+  }
+  static SimTime when_of(HeapKey k) {
+    return SimTime(static_cast<std::int64_t>(k >> 64));
+  }
+  static std::uint32_t slot_of_key(HeapKey k) {
+    return static_cast<std::uint32_t>(k) & kSlotMask;
   }
 
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
@@ -147,14 +155,9 @@ class Simulator {
     return static_cast<std::uint32_t>(id);
   }
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seqslot < b.seqslot;
-  }
-
-  void place(std::size_t pos, HeapEntry entry) {
-    heap_[pos] = entry;
-    meta_[slot_of_entry(entry)].heap_pos = static_cast<std::uint32_t>(pos);
+  void place(std::size_t pos, HeapKey key) {
+    heap_[pos] = key;
+    meta_[slot_of_key(key)].heap_pos = static_cast<std::uint32_t>(pos);
   }
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
@@ -172,7 +175,7 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<SlotMeta> meta_;  // parallel to slots_
   std::vector<std::uint32_t> free_slots_;
-  std::vector<HeapEntry> heap_;
+  std::vector<HeapKey> heap_;
 };
 
 /// A reusable one-shot activity whose callback is stored once at

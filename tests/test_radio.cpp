@@ -458,6 +458,84 @@ TEST_F(RadioTest, StopAndStartListensFromHandlerMidDelivery) {
   EXPECT_EQ(rx3.received.size(), 1u);
 }
 
+TEST_F(RadioTest, RangeIsJudgedAtDeliveryNotAtListenStart) {
+  // Shadow and seam teleports move devices while they listen, so the range
+  // test reads positions when the packet ends, not when the listen began.
+  RadioChannel ch(sim, rng, cfg);
+  TestDevice tx(1, {0, 0});
+  TestDevice comer(2, {200, 0});  // far away at start_listen
+  TestDevice leaver(3, {5, 0});   // in range at start_listen
+  ch.start_listen(&comer, kCh);
+  ch.start_listen(&leaver, kCh);
+  ch.transmit(&tx, kCh, id_packet(1));  // 68 us on air
+  sim.schedule(Duration::micros(10), [&] {
+    comer.pos = {5, 0};
+    leaver.pos = {200, 0};
+  });
+  sim.run();
+  EXPECT_EQ(comer.received.size(), 1u);
+  EXPECT_TRUE(leaver.received.empty());
+  EXPECT_EQ(sim.obs().metrics.counter_value("radio.out_of_range"), 1u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("radio.deliveries"), 1u);
+}
+
+TEST_F(RadioTest, OnlyInRangeListenersReceiveInOrderFlatAndGrid) {
+  // 40 listeners share one channel and 3 are in range of the sender. The 3
+  // registered in an order that is neither their address order nor their
+  // delivery order: deliveries go by (listen start, address, registration
+  // seq). The flat channel range-tests all 37 others; the grid delivers
+  // the same 3 in the same order while visiting only nearby cells.
+  struct Run {
+    std::vector<std::uint64_t> order;
+    std::uint64_t out_of_range;
+  };
+  const auto run = [](bool grid) {
+    sim::Simulator s;
+    Rng r{3};
+    ChannelConfig c;  // 40 listens stay flat under the default threshold
+    if (grid) c.grid_threshold = 0;
+    RadioChannel ch(s, r, c);
+    std::vector<std::uint64_t> order;
+    std::vector<std::unique_ptr<TestDevice>> devs;
+    const auto listen = [&](std::uint64_t addr, Vec2 pos) {
+      devs.push_back(std::make_unique<TestDevice>(addr, pos));
+      ch.start_listen(devs.back().get(), kCh,
+                      [&order, addr](const Packet&, RfChannel, SimTime) {
+                        order.push_back(addr);
+                      });
+    };
+    // Out of range: from just past the 10 m rim (cells the grid visits) out
+    // to hundreds of metres, with addresses interleaving the in-range ones.
+    const auto far = [](int i) {
+      const double d = i < 12 ? 10.05 + 0.4 * i : 30.0 + 9.0 * i;
+      return Vec2{i % 2 == 0 ? d : -d, i % 3 == 0 ? 0.0 : 0.5};
+    };
+    int next_far = 0;
+    for (int i = 0; i < 12; ++i) listen(0x400 + 16 * i, far(next_far++));
+    listen(0x300, {3, 0});  // in range
+    for (int i = 0; i < 12; ++i) listen(0x080 + 16 * i, far(next_far++));
+    listen(0x100, {0, -4});  // in range; same instant, lower address
+    s.schedule(Duration::micros(2), [&] {
+      for (int i = 0; i < 13; ++i) listen(0x010 + 16 * i, far(next_far++));
+      listen(0x050, {-6, 6});  // in range; later start, lowest address
+    });
+    TestDevice tx(0x999, {0, 0});
+    s.schedule(Duration::micros(5), [&] {
+      ch.transmit(&tx, kCh, id_packet(0x999));
+    });
+    s.run();
+    EXPECT_EQ(devs.size(), 40u);
+    return Run{order, s.obs().metrics.counter_value("radio.out_of_range")};
+  };
+  const Run flat = run(false);
+  const Run grid = run(true);
+  const std::vector<std::uint64_t> want = {0x100, 0x300, 0x050};
+  EXPECT_EQ(flat.order, want);
+  EXPECT_EQ(flat.out_of_range, 37u);
+  EXPECT_EQ(grid.order, want);
+  EXPECT_LT(grid.out_of_range, 37u);  // far cells are never visited
+}
+
 }  // namespace
 }  // namespace bips::baseband
 

@@ -1,9 +1,14 @@
 // Unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.hpp"
+#include "src/util/rng.hpp"
 
 namespace bips::sim {
 namespace {
@@ -208,6 +213,129 @@ TEST(Simulator, ArenaReusesSlotsUnderChurn) {
   }
   EXPECT_LE(s.arena_slots(), 8u);
   EXPECT_EQ(s.events_pending(), 0u);
+}
+
+// Reference model for the randomized kernel test: the pending set as a
+// std::set ordered by (when, schedule order), which is the order the kernel
+// promises. Every id ever minted is kept, so cancels hit stale ids as well
+// as live ones.
+struct KernelModel {
+  struct Issued {
+    EventId id;
+    SimTime when;
+    std::uint64_t seq;
+  };
+
+  Simulator s;
+  Rng rng{0x5EED};
+  std::set<std::pair<std::int64_t, std::uint64_t>> ref;
+  std::vector<Issued> issued;
+  std::uint64_t next_seq = 0;
+  std::uint64_t ops = 0, fired = 0, mismatches = 0;
+  std::uint64_t live_cancels = 0, stale_cancels = 0, nested_ops = 0;
+
+  SimTime pick_time() {
+    const std::int64_t now = s.now().ns();
+    switch (rng.uniform(4)) {
+      case 0:  // due at once, behind everything already due now
+        return s.now();
+      case 1: {  // one of the next few slot edges: heavily tied instants
+        const std::int64_t slot = Duration::micros(625).ns();
+        return SimTime((now / slot + 1 + static_cast<std::int64_t>(
+                                             rng.uniform(4))) * slot);
+      }
+      case 2:  // within a millisecond
+        return SimTime(now + static_cast<std::int64_t>(rng.uniform(1'000'000)));
+      default:  // far ahead
+        return SimTime(now + static_cast<std::int64_t>(
+                                 rng.uniform(10'000'000'000ull)));
+    }
+  }
+
+  void schedule() {
+    ++ops;
+    const SimTime at = pick_time();
+    const std::uint64_t seq = next_seq++;
+    const bool nests = rng.uniform(8) == 0;
+    const EventHandle h =
+        s.schedule_at(at, [this, at, seq, nests] { fire(at, seq, nests); });
+    ref.emplace(at.ns(), seq);
+    issued.push_back(Issued{h.id(), at, seq});
+  }
+
+  void cancel() {
+    ++ops;
+    if (issued.empty()) return;
+    // Half the picks come from the most recent ids (mostly live), half from
+    // the whole history (mostly fired or cancelled already).
+    const std::size_t n = issued.size();
+    const std::size_t i =
+        rng.uniform(2) == 0
+            ? n - 1 - rng.uniform(std::min<std::size_t>(n, 64))
+            : rng.uniform(n);
+    const Issued& e = issued[i];
+    if (ref.erase({e.when.ns(), e.seq}) > 0) {
+      ++live_cancels;
+    } else {
+      ++stale_cancels;
+    }
+    s.cancel(e.id);
+  }
+
+  void fire(SimTime at, std::uint64_t seq, bool nests) {
+    ++fired;
+    const std::pair<std::int64_t, std::uint64_t> key{at.ns(), seq};
+    if (ref.empty() || *ref.begin() != key || s.now() != at) ++mismatches;
+    ref.erase(key);
+    if (!nests) return;
+    // A callback that itself schedules (possibly at this very instant) and
+    // cancels (possibly an event due at this very instant).
+    const std::uint64_t k = 1 + rng.uniform(3);
+    for (std::uint64_t j = 0; j < k; ++j) {
+      ++nested_ops;
+      if (rng.uniform(3) == 0) {
+        cancel();
+      } else {
+        schedule();
+      }
+    }
+  }
+};
+
+TEST(Simulator, RandomScheduleAndCancelMatchReferenceOrder) {
+  KernelModel m;
+  bool residue_seen[4] = {false, false, false, false};
+  std::size_t max_pending = 0;
+  while (m.ops < 120'000) {
+    // Alternate growth and drain phases so the pending count sweeps from
+    // empty to about a thousand and back, through every residue mod 4: the
+    // heap's last family is full and partial in turn.
+    const bool grow = (m.ops / 4096) % 2 == 0;
+    const std::uint64_t r = m.rng.uniform(10);
+    if (r < (grow ? 6u : 2u)) {
+      m.schedule();
+    } else if (r < (grow ? 7u : 4u)) {
+      m.cancel();
+    } else {
+      ++m.ops;
+      m.s.step();
+    }
+    ASSERT_EQ(m.s.events_pending(), m.ref.size());
+    residue_seen[m.ref.size() % 4] = true;
+    max_pending = std::max(max_pending, m.ref.size());
+  }
+  m.s.run();
+  EXPECT_TRUE(m.ref.empty());
+  EXPECT_EQ(m.s.events_pending(), 0u);
+  EXPECT_EQ(m.mismatches, 0u);
+  EXPECT_GE(m.ops, 100'000u);
+  EXPECT_EQ(m.fired + m.live_cancels, m.next_seq);
+  // The stream exercised what it claims to.
+  EXPECT_GT(m.live_cancels, 1000u);
+  EXPECT_GT(m.stale_cancels, 1000u);
+  EXPECT_GT(m.nested_ops, 1000u);
+  EXPECT_GT(max_pending, 256u);
+  for (bool seen : residue_seen) EXPECT_TRUE(seen);
 }
 
 TEST(Process, CallAfterFiresOnceAndClearsPending) {
