@@ -123,19 +123,21 @@ ListenId RadioChannel::start_listen_backdated(RadioDevice* d, RfChannel ch,
   l.kind = kind;
 
   const CellEntry entry{id, next_listen_seq_++, d, l.since};
+  // Flat mode never reads the cell, so the position lookup is skipped --
+  // the dominant case for the short-lived response listens that churn at
+  // tens of thousands per simulated second.
+  std::vector<CellEntry>* entries = &cs.flat;
   if (cs.grid) {
     l.cell = grid_cell(d->position());
-    cs.cells[l.cell].push_back(entry);
-  } else {
-    // Flat mode never reads the cell, so the position lookup is skipped --
-    // the dominant case for the short-lived response listens that churn at
-    // tens of thousands per simulated second.
-    cs.flat.push_back(entry);
+    entries = &cs.cells[l.cell];
   }
+  l.entry_pos = static_cast<std::uint32_t>(entries->size());
+  entries->push_back(entry);
   ++cs.listens;
   if (!cs.grid && cfg_.spatial_grid && cs.listens > cfg_.grid_threshold) {
     migrate_to_grid(cs);
   }
+  l.device_pos = static_cast<std::uint32_t>(d->active_listens_.size());
   d->active_listens_.push_back(id);
   // Last, after the listen is fully registered: a fired subscription's
   // callback schedules a wake process at `now`, and by the time it runs the
@@ -154,7 +156,9 @@ void RadioChannel::migrate_to_grid(ChannelState& cs) {
     // registration-time cell, and the delivery-side range check is exact
     // either way (the grid only culls, it never admits).
     l.cell = grid_cell(l.device->position());
-    cs.cells[l.cell].push_back(e);
+    std::vector<CellEntry>& entries = cs.cells[l.cell];
+    l.entry_pos = static_cast<std::uint32_t>(entries.size());
+    entries.push_back(e);
   }
   cs.flat.clear();
   cs.flat.shrink_to_fit();
@@ -171,21 +175,25 @@ void RadioChannel::stop_listen(ListenId id) {
   l.device->account_listen(sim_.now() - l.since);
   if (l.kind == ListenKind::kTriggering) remove_trigger(l.ns, id);
 
+  // Swap-and-pop at the recorded indices; the entry moved into the hole
+  // gets its slot re-pointed. Order is irrelevant: deliver() sorts
+  // candidates.
   ChannelState& cs = *l.chan;
   std::vector<CellEntry>* entries = cs.grid ? cs.cells.find(l.cell) : &cs.flat;
   BIPS_ASSERT(entries != nullptr);
-  const auto pos = std::find_if(entries->begin(), entries->end(),
-                                [id](const CellEntry& e) { return e.id == id; });
-  BIPS_ASSERT(pos != entries->end());
-  *pos = entries->back();  // order is irrelevant: deliver() sorts candidates
+  const std::uint32_t ei = l.entry_pos;
+  BIPS_ASSERT(ei < entries->size() && (*entries)[ei].id == id);
+  (*entries)[ei] = entries->back();
+  lslots_[listen_slot_of((*entries)[ei].id)].entry_pos = ei;
   entries->pop_back();
   BIPS_ASSERT(cs.listens > 0);
   --cs.listens;
 
   std::vector<ListenId>& mine = l.device->active_listens_;
-  const auto dpos = std::find(mine.begin(), mine.end(), id);
-  BIPS_ASSERT(dpos != mine.end());
-  *dpos = mine.back();
+  const std::uint32_t di = l.device_pos;
+  BIPS_ASSERT(di < mine.size() && mine[di] == id);
+  mine[di] = mine.back();
+  lslots_[listen_slot_of(mine[di])].device_pos = di;
   mine.pop_back();
 
   // Retire the arena slot under a fresh generation. During a delivery the
@@ -218,6 +226,10 @@ RadioChannel::Occupancy& RadioChannel::occupancy(std::uint32_t ns) {
 void RadioChannel::add_trigger(std::uint32_t ns, Vec2 pos, SimTime until,
                                ListenId id) {
   Occupancy& o = occupancy(ns);
+  if (id != kNoListen) {
+    lslots_[listen_slot_of(id)].trigger_pos =
+        static_cast<std::uint32_t>(o.points.size());
+  }
   o.points.push_back(TriggerPoint{pos, until, id});
   if (o.subs.empty()) return;
   // Fire every subscription the new point satisfies, in subscription order.
@@ -243,15 +255,21 @@ void RadioChannel::add_trigger(std::uint32_t ns, Vec2 pos, SimTime until,
 }
 
 void RadioChannel::remove_trigger(std::uint32_t ns, ListenId id) {
-  Occupancy& o = occupancy(ns);
-  for (std::size_t i = 0; i < o.points.size(); ++i) {
-    if (o.points[i].listen == id) {
-      o.points[i] = o.points.back();
-      o.points.pop_back();
-      return;
-    }
+  std::vector<TriggerPoint>& points = occupancy(ns).points;
+  const std::uint32_t i = lslots_[listen_slot_of(id)].trigger_pos;
+  BIPS_ASSERT_MSG(i < points.size() && points[i].listen == id,
+                  "triggering listen without a trigger point");
+  erase_trigger(points, i);
+}
+
+void RadioChannel::erase_trigger(std::vector<TriggerPoint>& points,
+                                 std::size_t i) {
+  points[i] = points.back();
+  points.pop_back();
+  if (i < points.size() && points[i].listen != kNoListen) {
+    lslots_[listen_slot_of(points[i].listen)].trigger_pos =
+        static_cast<std::uint32_t>(i);
   }
-  BIPS_ASSERT_MSG(false, "triggering listen without a trigger point");
 }
 
 void RadioChannel::occupancy_hold(RfChannel ch, Vec2 pos, SimTime until) {
@@ -267,8 +285,7 @@ bool RadioChannel::occupied(std::uint32_t ns, Vec2 pos) {
     // Holds expire lazily; `until` is exclusive (a transmission starting
     // exactly when the held response flight ends cannot overlap it).
     if (o.points[i].until <= now) {
-      o.points[i] = o.points.back();
-      o.points.pop_back();
+      erase_trigger(o.points, i);
       continue;
     }
     if (distance_sq(o.points[i].pos, pos) <= r * r) hit = true;

@@ -21,7 +21,11 @@
 // follow pointers carried by the listen slot / delivery closure). Listen state
 // lives in a generation-tagged arena (ListenId = slot + generation, so a
 // stale stop_listen is a true no-op), and each device carries its own
-// listen list for O(its listens) teardown. A channel's listeners start as
+// listen list for O(its listens) teardown. A listen slot records where its
+// entries sit -- in its channel's flat or cell vector, in its device's
+// listen list and in its namespace's trigger points -- so stop_listen
+// removes each by swap-and-pop at that index, re-pointing the entry that
+// moves in, and never searches. A channel's listeners start as
 // one flat vector -- a handful of scanners, scanned linearly -- and migrate
 // one-way onto a coarse spatial grid over listener positions when the
 // channel grows past ChannelConfig::grid_threshold. In-flight transmissions
@@ -97,6 +101,7 @@ class RadioDevice {
  private:
   // Intrusive per-device listen index, maintained by RadioChannel: gives
   // stop_all_listens / listen_count O(own listens) cost with no hash map.
+  // Unordered; each listen's slot records its index here.
   friend class RadioChannel;
   std::vector<ListenId> active_listens_;
 };
@@ -251,9 +256,9 @@ class RadioChannel {
   };
   // One listen as stored in a channel's flat or per-cell index: enough
   // state to filter candidates without touching the arena. Vectors are
-  // unsorted (removal is swap-and-pop); deliver() sorts the gathered
-  // candidates by registration sequence, which arena slot reuse does not
-  // preserve in the id itself.
+  // unsorted (removal is swap-and-pop at the index the listen's slot
+  // records); deliver() sorts the gathered candidates by registration
+  // sequence, which arena slot reuse does not preserve in the id itself.
   struct CellEntry {
     ListenId id;
     std::uint64_t seq;  // registration order, monotone across all listens
@@ -296,7 +301,10 @@ class RadioChannel {
 
   // Arena slot for one listen. `generation` advances when the listen stops
   // and when the slot is reused, so a stale ListenId can never act on a
-  // later occupancy (stop_listen of a dead id is a true no-op).
+  // later occupancy (stop_listen of a dead id is a true no-op). The *_pos
+  // fields are the listen's indices in the three unordered vectors that
+  // hold it; whatever swap-and-pops one of them re-points the entry it
+  // moves.
   struct ListenSlot {
     RadioDevice* device = nullptr;  // null while the slot is free
     ChannelState* chan = nullptr;
@@ -305,6 +313,9 @@ class RadioChannel {
     std::uint64_t cell = 0;  // grid cell it is indexed under (grid mode)
     std::uint32_t generation = 0;
     std::uint32_t ns = 0;    // hop-set namespace (occupancy bookkeeping)
+    std::uint32_t entry_pos = 0;    // in chan->flat or chan->cells[cell]
+    std::uint32_t device_pos = 0;   // in device->active_listens_
+    std::uint32_t trigger_pos = 0;  // in its Occupancy::points (kTriggering)
     ListenKind kind = ListenKind::kTriggering;
   };
 
@@ -358,6 +369,8 @@ class RadioChannel {
   /// Registers a trigger point and fires satisfied subscriptions in `ns`.
   void add_trigger(std::uint32_t ns, Vec2 pos, SimTime until, ListenId id);
   void remove_trigger(std::uint32_t ns, ListenId id);
+  /// Swap-and-pops points[i], re-pointing the listen moved into `i`.
+  void erase_trigger(std::vector<TriggerPoint>& points, std::size_t i);
   /// Tracks the largest transmit range seen; an increase re-fires every
   /// pending subscription (their park decisions used a smaller radius).
   void note_range(const RadioDevice* d);

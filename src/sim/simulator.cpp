@@ -16,7 +16,7 @@ Simulator::Simulator() {
     return static_cast<double>(executed_);
   });
   obs_.metrics.gauge("kernel.events_pending").set_callback([this] {
-    return static_cast<double>(heap_.size());
+    return static_cast<double>(events_pending());
   });
   obs_.metrics.gauge("kernel.arena_slots").set_callback([this] {
     return static_cast<double>(slots_.size());
@@ -48,9 +48,9 @@ EventHandle Simulator::schedule_at(SimTime at, Callback fn) {
 
   const std::uint64_t seq = next_seq_++;
   BIPS_ASSERT_MSG(seq < kMaxSeq, "event sequence space exhausted");
-  heap_.push_back(make_key(at, seq << kSlotBits | slot));
-  meta_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
+  Tier& t = at - now_ < kNearSpan ? near_ : far_;
+  t.keys.push_back(make_key(at, seq << kSlotBits | slot));
+  sift_up(t, t.keys.size() - 1);
   return EventHandle(this, make_id(slot, meta_[slot].generation));
 }
 
@@ -63,25 +63,26 @@ void Simulator::cancel(EventId id) {
   // the slot possibly reused): a true no-op, no bookkeeping to corrupt.
   if (m.generation != generation_of(id)) return;
   BIPS_ASSERT(m.heap_pos != kNullPos);
-  heap_remove(m.heap_pos);
+  heap_remove((m.heap_pos & kFarBit) != 0 ? far_ : near_,
+              m.heap_pos & ~kFarBit);
   retire(slot);
 }
 
-void Simulator::sift_up(std::size_t pos) {
-  const HeapKey key = heap_[pos];
+void Simulator::sift_up(Tier& t, std::size_t pos) {
+  const HeapKey key = t.keys[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
-    if (!(key < heap_[parent])) break;
-    place(pos, heap_[parent]);
+    if (!(key < t.keys[parent])) break;
+    place(t, pos, t.keys[parent]);
     pos = parent;
   }
-  place(pos, key);
+  place(t, pos, key);
 }
 
-void Simulator::sift_down(std::size_t pos) {
-  const HeapKey key = heap_[pos];
-  const HeapKey* h = heap_.data();
-  const std::size_t n = heap_.size();
+void Simulator::sift_down(Tier& t, std::size_t pos) {
+  const HeapKey key = t.keys[pos];
+  const HeapKey* h = t.keys.data();
+  const std::size_t n = t.keys.size();
   for (;;) {
     const std::size_t c = kArity * pos + 1;  // first child
     std::size_t best;
@@ -110,24 +111,24 @@ void Simulator::sift_down(std::size_t pos) {
       }
     }
     if (!(h[best] < key)) break;
-    place(pos, h[best]);
+    place(t, pos, h[best]);
     pos = best;
   }
-  place(pos, key);
+  place(t, pos, key);
 }
 
-void Simulator::heap_remove(std::size_t pos) {
-  BIPS_ASSERT(pos < heap_.size());
-  meta_[slot_of_key(heap_[pos])].heap_pos = kNullPos;
-  const std::size_t last = heap_.size() - 1;
+void Simulator::heap_remove(Tier& t, std::size_t pos) {
+  BIPS_ASSERT(pos < t.keys.size());
+  meta_[slot_of_key(t.keys[pos])].heap_pos = kNullPos;
+  const std::size_t last = t.keys.size() - 1;
   if (pos != last) {
-    heap_[pos] = heap_[last];
-    heap_.pop_back();
+    t.keys[pos] = t.keys[last];
+    t.keys.pop_back();
     // The moved-in entry may need to go either way relative to `pos`.
-    sift_down(pos);
-    sift_up(pos);
+    sift_down(t, pos);
+    sift_up(t, pos);
   } else {
-    heap_.pop_back();
+    t.keys.pop_back();
   }
 }
 
@@ -139,13 +140,13 @@ void Simulator::retire(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-Callback Simulator::take_front() {
-  const HeapKey front = heap_.front();
+Callback Simulator::take_front(Tier& t) {
+  const HeapKey front = t.keys.front();
   const std::uint32_t slot = slot_of_key(front);
   BIPS_ASSERT(when_of(front) >= now_);
   now_ = when_of(front);
   Callback fn = std::move(slots_[slot].fn);
-  heap_remove(0);
+  heap_remove(t, 0);
   // Retire before invoking: the callback may schedule new events (reusing
   // this slot under a fresh generation) or cancel its own, now stale, id.
   retire(slot);
@@ -154,22 +155,24 @@ Callback Simulator::take_front() {
     // Sinks only record; they cannot schedule, so sampling never perturbs
     // the event order -- traces stay bit-identical with tracing on or off.
     obs_.tracer.emit(now_, obs::TraceKind::kKernelSample, 0, executed_,
-                     heap_.size(), static_cast<double>(slots_.size()));
+                     events_pending(), static_cast<double>(slots_.size()));
   }
   return fn;
 }
 
 bool Simulator::step() {
-  if (heap_.empty()) return false;
-  Callback fn = take_front();
+  Tier* t = front_tier();
+  if (t == nullptr) return false;
+  Callback fn = take_front(*t);
   fn();
   return true;
 }
 
 void Simulator::run_until(SimTime until) {
   BIPS_ASSERT(until >= now_);
-  while (!heap_.empty() && when_of(heap_.front()) <= until) {
-    Callback fn = take_front();
+  for (Tier* t = front_tier();
+       t != nullptr && when_of(t->keys.front()) <= until; t = front_tier()) {
+    Callback fn = take_front(*t);
     fn();
   }
   now_ = until;

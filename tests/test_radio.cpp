@@ -2,6 +2,8 @@
 // collision rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -534,6 +536,201 @@ TEST_F(RadioTest, OnlyInRangeListenersReceiveInOrderFlatAndGrid) {
   EXPECT_EQ(flat.out_of_range, 37u);
   EXPECT_EQ(grid.order, want);
   EXPECT_LT(grid.out_of_range, 37u);  // far cells are never visited
+}
+
+TEST_F(RadioTest, RandomListenChurnMatchesModel) {
+  // Seeded churn of triggering and passive listens on three channels (two
+  // inquiry hops, one page hop) held by eight static devices, against a
+  // brute-force model of every live listen and occupancy hold. Stops come
+  // one at a time, per device, with stale ids, and from handlers in the
+  // middle of a delivery; holds expire through occupied(); the busiest
+  // channel crosses grid_threshold mid-run and migrates to the grid. After
+  // every operation the listen counts, occupied() at probe points and the
+  // receivers of a probe transmission (set and order) must match the
+  // model.
+  cfg.grid_threshold = 12;
+  RadioChannel ch(sim, rng, cfg);
+  Rng ops{0xC0FFEE};
+  const RfChannel kBusy{0, 5}, kQuiet{0, 6}, kPage{9, 3};
+  const RfChannel channels[] = {kBusy, kBusy, kBusy, kBusy, kQuiet, kPage};
+  std::vector<std::unique_ptr<TestDevice>> devs;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    devs.push_back(std::make_unique<TestDevice>(
+        0x100 - 16 * i, Vec2{7.0 * static_cast<double>(i), 0.5 * i}));
+  }
+
+  struct Live {
+    ListenId id;
+    TestDevice* dev;
+    RfChannel ch;
+    ListenKind kind;
+    SimTime since;
+    std::uint64_t seq;
+  };
+  struct Hold {
+    std::uint32_t ns;
+    Vec2 pos;
+    SimTime until;
+  };
+  std::vector<Live> live;
+  std::vector<ListenId> dead;
+  std::vector<Hold> holds;
+  std::vector<std::uint64_t> got;  // seqs a probe reached, in order
+  std::uint64_t next_seq = 0, handler_stops = 0, stale_stops = 0;
+  std::uint64_t stop_alls = 0, max_busy = 0, max_quiet = 0;
+  std::size_t busy_migrated_at = 0;
+
+  const auto forget = [&](ListenId id) {
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i].id == id) {
+        dead.push_back(id);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        return;
+      }
+    }
+  };
+  const auto stop_one = [&] {
+    if (live.empty()) return;
+    const ListenId id = live[ops.uniform(live.size())].id;
+    ch.stop_listen(id);
+    forget(id);
+  };
+  const auto stop_device = [&](TestDevice* d) {
+    ch.stop_all_listens(d);
+    for (std::size_t i = live.size(); i-- > 0;) {
+      if (live[i].dev == d) forget(live[i].id);
+    }
+    ++stop_alls;
+  };
+  const auto start = [&] {
+    TestDevice* d = devs[ops.uniform(devs.size())].get();
+    const RfChannel c = channels[ops.uniform(std::size(channels))];
+    const ListenKind kind =
+        ops.uniform(3) == 0 ? ListenKind::kPassive : ListenKind::kTriggering;
+    const bool stops = ops.uniform(8) == 0;
+    const std::uint64_t seq = next_seq++;
+    const ListenId id = ch.start_listen(
+        d, c,
+        [&, seq, stops](const Packet&, RfChannel, SimTime) {
+          got.push_back(seq);
+          if (!stops || live.empty()) return;
+          ++handler_stops;
+          if (ops.uniform(4) == 0) {
+            stop_device(live[ops.uniform(live.size())].dev);
+          } else {
+            stop_one();
+          }
+        },
+        kind);
+    live.push_back(Live{id, d, c, kind, sim.now(), seq});
+  };
+
+  const double ff = ch.ff_radius();
+  const auto model_occupied = [&](std::uint32_t ns, Vec2 pos) {
+    for (const Live& l : live) {
+      if (l.ch.ns == ns && l.kind == ListenKind::kTriggering &&
+          distance_sq(l.dev->pos, pos) <= ff * ff) {
+        return true;
+      }
+    }
+    for (const Hold& h : holds) {
+      if (h.ns == ns && h.until > sim.now() &&
+          distance_sq(h.pos, pos) <= ff * ff) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto check = [&](std::size_t step) {
+    for (const auto& d : devs) {
+      std::size_t n = 0;
+      for (const Live& l : live) n += l.dev == d.get() ? 1 : 0;
+      ASSERT_EQ(ch.listen_count(d.get()), n) << "step " << step;
+    }
+    for (const std::uint32_t ns : {0u, 9u}) {
+      for (const double x : {0.0, 25.0, 50.0, 100.0}) {
+        const Vec2 p{x, 1.0};
+        ASSERT_EQ(ch.occupied(ns, p), model_occupied(ns, p))
+            << "step " << step << " ns " << ns << " x " << x;
+      }
+    }
+  };
+  TestDevice probe(0x999);
+  const auto probe_delivery = [&](std::size_t step) {
+    const RfChannel c = channels[ops.uniform(std::size(channels))];
+    probe.pos = {static_cast<double>(ops.uniform(57)), 0.0};
+    std::vector<Live> want;
+    for (const Live& l : live) {
+      if (l.ch == c && distance_sq(l.dev->pos, probe.pos) <= 100.0) {
+        want.push_back(l);
+      }
+    }
+    std::sort(want.begin(), want.end(), [](const Live& a, const Live& b) {
+      if (a.since != b.since) return a.since < b.since;
+      if (a.dev->a.raw() != b.dev->a.raw()) {
+        return a.dev->a.raw() < b.dev->a.raw();
+      }
+      return a.seq < b.seq;
+    });
+    std::vector<std::uint64_t> want_seqs;
+    for (const Live& l : want) want_seqs.push_back(l.seq);
+    got.clear();
+    ch.transmit(&probe, c, id_packet(0x999));
+    sim.run();
+    ASSERT_EQ(got, want_seqs) << "step " << step;
+  };
+
+  for (std::size_t step = 0; step < 3000; ++step) {
+    const std::uint64_t r = ops.uniform(100);
+    if (r < 45) {
+      start();
+    } else if (r < 57) {
+      stop_one();
+    } else if (r < 62) {
+      if (!dead.empty()) {
+        ch.stop_listen(dead[ops.uniform(dead.size())]);  // a no-op
+        ++stale_stops;
+      }
+    } else if (r < 64) {
+      stop_device(devs[ops.uniform(devs.size())].get());
+    } else if (r < 80) {
+      const RfChannel c = channels[ops.uniform(std::size(channels))];
+      const Vec2 pos{static_cast<double>(ops.uniform(60)), 0.0};
+      const SimTime until =
+          sim.now() + Duration::micros(1 + static_cast<std::int64_t>(
+                                               ops.uniform(3000)));
+      ch.occupancy_hold(c, pos, until);
+      holds.push_back(Hold{c.ns, pos, until});
+    } else {
+      sim.run_until(sim.now() + Duration::micros(static_cast<std::int64_t>(
+                                    ops.uniform(1500))));
+    }
+    std::uint64_t busy = 0, quiet = 0;
+    for (const Live& l : live) {
+      busy += l.ch == kBusy ? 1 : 0;
+      quiet += l.ch == kQuiet ? 1 : 0;
+    }
+    if (busy > cfg.grid_threshold && busy_migrated_at == 0) {
+      busy_migrated_at = step;
+    }
+    max_busy = std::max(max_busy, busy);
+    max_quiet = std::max(max_quiet, quiet);
+    ASSERT_NO_FATAL_FAILURE(check(step));
+    ASSERT_NO_FATAL_FAILURE(probe_delivery(step));
+    ASSERT_NO_FATAL_FAILURE(check(step));
+  }
+  for (const auto& d : devs) stop_device(d.get());
+  sim.run_until(sim.now() + Duration::millis(4));  // every hold has expired
+  check(3000);
+  EXPECT_TRUE(live.empty());
+
+  // The stream exercised what it claims to.
+  EXPECT_GT(busy_migrated_at, 20u);    // the busy channel migrated mid-run
+  EXPECT_LE(max_quiet, cfg.grid_threshold);  // the quiet one stayed flat
+  EXPECT_GT(max_busy, 2 * cfg.grid_threshold);
+  EXPECT_GT(handler_stops, 100u);
+  EXPECT_GT(stale_stops, 50u);
+  EXPECT_GT(stop_alls, 100u);
 }
 
 }  // namespace

@@ -215,6 +215,41 @@ TEST(Simulator, ArenaReusesSlotsUnderChurn) {
   EXPECT_EQ(s.events_pending(), 0u);
 }
 
+TEST(Simulator, SameInstantOrderHoldsAcrossNearAndFarTiers) {
+  // Events scheduled long before their instant wait in the far tier; events
+  // scheduled for the same instant from a slot before it, or from inside
+  // it, go to the near tier. Schedule order must still decide among them,
+  // and a cancel must find its event in either tier.
+  Simulator s;
+  const SimTime t(Duration::millis(100).ns());
+  std::vector<int> order;
+  const auto record = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  s.schedule_at(t, record(1));
+  EventHandle far_cancelled = s.schedule_at(t, record(-1));
+  s.schedule_at(t + Duration::micros(1), record(7));
+  EventHandle near_cancelled;
+  s.schedule_at(t - Duration::micros(625), [&] {
+    s.schedule_at(t, [&] {
+      order.push_back(3);
+      s.schedule_at(t, record(6));  // from inside the instant: after all
+    });
+    near_cancelled = s.schedule_at(t, record(-2));
+    s.schedule_at(t, record(4));
+    EXPECT_EQ(s.events_pending(), 8u);  // 5 scheduled far out, 3 close by
+    far_cancelled.cancel();
+    near_cancelled.cancel();
+    EXPECT_EQ(s.events_pending(), 6u);
+  });
+  s.schedule_at(t, record(2));
+  s.schedule_at(t - Duration::nanos(1), [&] { s.schedule_at(t, record(5)); });
+  EXPECT_EQ(s.events_pending(), 6u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(s.events_pending(), 0u);
+}
+
 // Reference model for the randomized kernel test: the pending set as a
 // std::set ordered by (when, schedule order), which is the order the kernel
 // promises. Every id ever minted is kept, so cancels hit stale ids as well
@@ -239,10 +274,11 @@ struct KernelModel {
     switch (rng.uniform(4)) {
       case 0:  // due at once, behind everything already due now
         return s.now();
-      case 1: {  // one of the next few slot edges: heavily tied instants
+      case 1: {  // one of the next 64 slot edges: heavily tied instants,
+                 // first scheduled from far out, later from close by
         const std::int64_t slot = Duration::micros(625).ns();
         return SimTime((now / slot + 1 + static_cast<std::int64_t>(
-                                             rng.uniform(4))) * slot);
+                                             rng.uniform(64))) * slot);
       }
       case 2:  // within a millisecond
         return SimTime(now + static_cast<std::int64_t>(rng.uniform(1'000'000)));
