@@ -1,318 +1,37 @@
 #include "src/baseband/inquiry.hpp"
 
+#include <utility>
+
+#include "src/baseband/hopping.hpp"
 #include "src/util/log.hpp"
 
 namespace bips::baseband {
-
-namespace {
-/// A slave transmits its FHS 625 us after the start of the ID it heard; the
-/// FHS lasts 366 us, so the response to the second ID of a TX slot ends
-/// 1303.5 us after the slot began. Closing the response listens a hair later
-/// keeps that reception alive without bleeding into the following RX slot.
-constexpr Duration kResponseListenSpan = Duration::micros(1310);
-}  // namespace
 
 Inquirer::Inquirer(Device& dev, InquiryConfig cfg, ResponseCallback on_response)
     : dev_(dev),
       cfg_(cfg),
       on_response_(std::move(on_response)),
-      slot_proc_(dev.sim(), [this] { tx_slot(); }),
-      id2_proc_(dev.sim(), [this] { second_id(); }),
-      close_procs_{{dev.sim(), [this] { close_pair(0); }},
-                   {dev.sim(), [this] { close_pair(1); }}},
-      vclock_(dev.sim(), 2 * kSlot),
-      wake_proc_(dev.sim(), [this] { wake(); }) {
-  BIPS_ASSERT(cfg_.train_repetitions > 0);
-}
+      sweep_(dev, cfg.train_repetitions, cfg.switch_trains,
+             [this](const Packet& p, RfChannel, SimTime end) {
+               on_fhs(p, end);
+             }) {}
 
 void Inquirer::start() {
   if (active_) return;
   active_ = true;
-  exact_ = dev_.radio().config().exact_slots;
-  train_ = cfg_.starting_train;
-  reps_ = 0;
-  tx_slot_ = 0;
   seen_.clear();
-  id_packet_ = Packet{};
-  id_packet_.type = PacketType::kId;
-  id_packet_.sender = dev_.addr();
-  id_packet_.access_code = BdAddr();  // GIAC: anonymous general inquiry
-  slot_proc_.call_at(dev_.clock().next_even_slot(dev_.sim().now()));
+  Packet id;
+  id.type = PacketType::kId;
+  id.sender = dev_.addr();
+  id.access_code = BdAddr();  // GIAC: anonymous general inquiry
+  sweep_.start(0, train_base(cfg_.starting_train), id,
+               dev_.clock().next_even_slot(dev_.sim().now()));
 }
 
 void Inquirer::stop() {
   if (!active_) return;
   active_ = false;
-  if (vclock_.parked()) retire_park(dev_.sim().now());
-  wake_proc_.cancel();
-  slot_proc_.cancel();
-  id2_proc_.cancel();
-  close_procs_[0].cancel();
-  close_procs_[1].cancel();
-  close_pair(0);
-  close_pair(1);
-}
-
-void Inquirer::tx_slot() {
-  if (!active_) return;
-  const SimTime t0 = dev_.sim().now();
-
-  // Virtual-slot park: with no triggering listener in reach on the inquiry
-  // set, nothing this (or any following idle) slot transmits can be heard
-  // or interfere with anything observable -- skip ahead. The pending
-  // close_procs_ of the previous slots keep running: their listens are real
-  // and close on their own schedule.
-  if (!exact_ && !dev_.radio().occupied(0, dev_.position())) {
-    park(t0);
-    return;
-  }
-
-  const std::uint32_t ch1 = inquiry_tx_channel(train_, tx_slot_, 0);
-  second_channel_ = inquiry_tx_channel(train_, tx_slot_, 1);
-
-  // First ID now, second one half-slot later.
-  dev_.radio().transmit(&dev_, inquiry_channel(ch1), id_packet_);
-  ++stats_.ids_sent;
-  id2_proc_.call_after(kHalfSlot);
-
-  // Listen for FHS responses on both paired response channels. The listens
-  // open now (before any response can start) and close after the span of
-  // the second possible response. Passive: a master's response windows
-  // must not hold other masters awake (the scanner side covers committed
-  // responses with occupancy holds instead).
-  auto handler = [this](const Packet& p, RfChannel, SimTime end) {
-    on_fhs(p, end);
-  };
-  ListenId* pair = open_pairs_[close_rotor_];
-  pair[0] = dev_.radio().start_listen(&dev_, inquiry_response_channel(ch1),
-                                      handler, ListenKind::kPassive);
-  pair[1] = dev_.radio().start_listen(
-      &dev_, inquiry_response_channel(second_channel_), handler,
-      ListenKind::kPassive);
-  close_procs_[close_rotor_].call_at(t0 + kResponseListenSpan);
-  close_rotor_ ^= 1;
-
-  advance_phase();
-  slot_proc_.call_at(t0 + 2 * kSlot);
-}
-
-void Inquirer::park(SimTime t0) {
-  vclock_.park(t0);
-  occ_sub_ = dev_.radio().subscribe_occupancy(
-      0, dev_.position(), [this](SimTime) {
-        // Fired from inside a triggering registration: only schedule here.
-        occ_sub_ = kNoOccupancySub;
-        wake_proc_.call_at(dev_.sim().now());
-      });
-}
-
-void Inquirer::wake() {
-  if (!active_ || !vclock_.parked()) return;
-  const SimTime now = dev_.sim().now();
-  const SimTime parked_at = vclock_.parked_at();
-  const auto wk = vclock_.wake(now);
-  const SimTime resume = wk.resume;
-  const std::uint64_t n = wk.skipped;
-
-  if (n > 0) {
-    // --- Credit the elided drumming exactly as the exact path would have
-    // accrued it. Each skipped slot sent two 68 us IDs; the last one's
-    // second ID may still lie in the future, in which case it is replayed
-    // for real below (somebody can hear it now) instead of credited.
-    const SimTime p1 = resume - 2 * kSlot;  // last skipped slot (k = n-1)
-    const bool replay_second = p1 + kHalfSlot >= now;
-    const std::uint64_t ids = 2 * n - (replay_second ? 1 : 0);
-    stats_.ids_sent += ids - park_ids_credited_;  // minus lazy mid-park reads
-    park_ids_credited_ = 0;
-    dev_.account_tx(Duration::micros(68) * static_cast<std::int64_t>(ids) -
-                    park_tx_credited_);
-    park_tx_credited_ = Duration(0);
-
-    // --- Reconstruct the response-listen pairs still open, backdated to
-    // their slots; fully-elapsed windows are credited closed-form. At most
-    // the last two slots' windows (span 1310 us < 2 x 1250 us) can still be
-    // open, and their close rotors are provably free (any real pre-park
-    // pair closed within 60 us of the park).
-    std::uint64_t reconstructed = 0;
-    auto handler = [this](const Packet& p, RfChannel, SimTime end) {
-      on_fhs(p, end);
-    };
-    const auto reconstruct = [&](std::uint64_t k, SimTime slot_t) {
-      const auto [tr, ts] = phase_at(k);
-      const std::uint32_t c1 = inquiry_tx_channel(tr, ts, 0);
-      const std::uint32_t c2 = inquiry_tx_channel(tr, ts, 1);
-      ListenId* pair = open_pairs_[close_rotor_];
-      BIPS_ASSERT(pair[0] == kNoListen && pair[1] == kNoListen);
-      pair[0] = dev_.radio().start_listen_backdated(
-          &dev_, inquiry_response_channel(c1), slot_t, handler,
-          ListenKind::kPassive);
-      pair[1] = dev_.radio().start_listen_backdated(
-          &dev_, inquiry_response_channel(c2), slot_t, handler,
-          ListenKind::kPassive);
-      close_procs_[close_rotor_].call_at(slot_t + kResponseListenSpan);
-      close_rotor_ ^= 1;
-      ++reconstructed;
-    };
-    if (n >= 2) {
-      const SimTime p2 = resume - 4 * kSlot;
-      if (p2 + kResponseListenSpan > now) reconstruct(n - 2, p2);
-    }
-    reconstruct(n - 1, p1);  // now <= resume = p1 + 1250 < p1 + span: open
-    // Reconstructed windows have t + span > now, so the lazy mid-park
-    // crediting (strictly-closed windows only) never counted them: the
-    // subtraction cannot go negative.
-    dev_.account_listen(2 * kResponseListenSpan *
-                            static_cast<std::int64_t>(n - reconstructed) -
-                        park_listen_credited_);
-    park_listen_credited_ = Duration(0);
-
-    // --- Replay the still-future second ID of the last skipped slot on the
-    // channel the closed-form phase assigns it.
-    if (replay_second) {
-      second_channel_ = inquiry_tx_channel(phase_at(n - 1).first,
-                                           phase_at(n - 1).second, 1);
-      id2_proc_.call_at(p1 + kHalfSlot);
-    }
-
-    advance_phase_by(n);
-    dev_.sim().obs().tracer.emit(now, obs::TraceKind::kRadioFf,
-                                 static_cast<std::uint32_t>(dev_.addr().raw()),
-                                 n, static_cast<std::uint64_t>(
-                                        (now - parked_at).ns()));
-  }
-  slot_proc_.call_at(resume);
-}
-
-void Inquirer::retire_park(SimTime now) {
-  const SimTime parked_at = vclock_.parked_at();
-  const std::uint64_t n = vclock_.retire(now);
-  if (occ_sub_ != kNoOccupancySub) {
-    dev_.radio().unsubscribe_occupancy(0, occ_sub_);
-    occ_sub_ = kNoOccupancySub;
-  }
-  if (n == 0) return;
-  // The exact path would have drummed n slots before this stop: credit the
-  // IDs (the last slot's second ID only if its half-slot already passed --
-  // a same-instant event loses to the earlier-scheduled stop) and the
-  // listen time its pairs would have accrued before stop() closed them.
-  const SimTime last = parked_at + (n - 1) * (2 * kSlot);
-  const bool last_second = last + kHalfSlot < now;
-  const std::uint64_t ids = 2 * n - (last_second ? 0 : 1);
-  stats_.ids_sent += ids - park_ids_credited_;  // minus lazy mid-park reads
-  park_ids_credited_ = 0;
-  dev_.account_tx(Duration::micros(68) * static_cast<std::int64_t>(ids) -
-                  park_tx_credited_);
-  park_tx_credited_ = Duration(0);
-  Duration listen_credit{0};
-  const std::uint64_t full = n > 2 ? n - 2 : 0;
-  listen_credit += 2 * kResponseListenSpan * static_cast<std::int64_t>(full);
-  for (std::uint64_t k = full; k < n; ++k) {
-    const SimTime t = parked_at + k * (2 * kSlot);
-    const Duration open = now - t;
-    listen_credit += 2 * (open < kResponseListenSpan ? open
-                                                     : kResponseListenSpan);
-  }
-  // Lazy mid-park reads only credited windows already fully closed, each
-  // at full span; the bulk figure includes those at full span too, so the
-  // subtraction cannot go negative.
-  dev_.account_listen(listen_credit - park_listen_credited_);
-  park_listen_credited_ = Duration(0);
-  advance_phase_by(n);
-  dev_.sim().obs().tracer.emit(now, obs::TraceKind::kRadioFf,
-                               static_cast<std::uint32_t>(dev_.addr().raw()),
-                               n, static_cast<std::uint64_t>(
-                                      (now - parked_at).ns()));
-}
-
-void Inquirer::sync_park_stats() const {
-  if (!vclock_.parked()) return;
-  const SimTime now = dev_.sim().now();
-  const std::uint64_t n = vclock_.elided_before(now);
-  if (n == 0) return;
-  // The crediting formula wake()/retire_park() apply when the park ends:
-  // two IDs per elided slot, minus the last slot's second ID when its
-  // half-slot has not struck yet. Monotone in `now`, so repeated reads only
-  // ever add the delta since the previous one.
-  const SimTime last = vclock_.parked_at() + (n - 1) * (2 * kSlot);
-  const std::uint64_t ids = 2 * n - (last + kHalfSlot < now ? 0 : 1);
-  stats_.ids_sent += ids - park_ids_credited_;
-  park_ids_credited_ = ids;
-  // The energy ledger rides the same lazy scheme, pinned to the exact
-  // path's accounting instants: each ID at its transmit, each response
-  // window at its close. Only windows *strictly* closed before `now` count
-  // (a close event at exactly `now` has not fired yet under FIFO order);
-  // still-open windows stay uncredited, matching EnergyMeter's "open
-  // listens not yet credited" convention.
-  const Duration tx = Duration::micros(68) * static_cast<std::int64_t>(ids);
-  dev_.account_tx(tx - park_tx_credited_);
-  park_tx_credited_ = tx;
-  const std::int64_t fully_closed_span =
-      (now - vclock_.parked_at() - kResponseListenSpan).ns();
-  const std::int64_t step = (2 * kSlot).ns();
-  std::uint64_t closed =
-      fully_closed_span > 0
-          ? static_cast<std::uint64_t>((fully_closed_span + step - 1) / step)
-          : 0;
-  if (closed > n) closed = n;
-  const Duration listen =
-      2 * kResponseListenSpan * static_cast<std::int64_t>(closed);
-  dev_.account_listen(listen - park_listen_credited_);
-  park_listen_credited_ = listen;
-}
-
-std::pair<Train, std::uint32_t> Inquirer::phase_at(std::uint64_t k) const {
-  const std::uint64_t per_train =
-      static_cast<std::uint64_t>(kTrainTxSlots) *
-      static_cast<std::uint64_t>(cfg_.train_repetitions);
-  std::uint64_t total = tx_slot_ +
-                        static_cast<std::uint64_t>(kTrainTxSlots) *
-                            static_cast<std::uint64_t>(reps_) +
-                        k;
-  Train t = train_;
-  if (cfg_.switch_trains && ((total / per_train) & 1) != 0) t = other_train(t);
-  return {t, static_cast<std::uint32_t>(total % kTrainTxSlots)};
-}
-
-void Inquirer::advance_phase_by(std::uint64_t n) {
-  const std::uint64_t per_train =
-      static_cast<std::uint64_t>(kTrainTxSlots) *
-      static_cast<std::uint64_t>(cfg_.train_repetitions);
-  std::uint64_t total = tx_slot_ +
-                        static_cast<std::uint64_t>(kTrainTxSlots) *
-                            static_cast<std::uint64_t>(reps_) +
-                        n;
-  const std::uint64_t crossings = total / per_train;
-  if (cfg_.switch_trains) {
-    stats_.train_switches += crossings;
-    if ((crossings & 1) != 0) train_ = other_train(train_);
-  }
-  total %= per_train;
-  reps_ = static_cast<int>(total / kTrainTxSlots);
-  tx_slot_ = static_cast<std::uint32_t>(total % kTrainTxSlots);
-}
-
-void Inquirer::second_id() {
-  if (!active_) return;
-  dev_.radio().transmit(&dev_, inquiry_channel(second_channel_), id_packet_);
-  ++stats_.ids_sent;
-}
-
-void Inquirer::close_pair(int k) {
-  for (ListenId& id : open_pairs_[k]) {
-    dev_.radio().stop_listen(id);
-    id = kNoListen;
-  }
-}
-
-void Inquirer::advance_phase() {
-  if (++tx_slot_ < kTrainTxSlots) return;
-  tx_slot_ = 0;
-  if (++reps_ < cfg_.train_repetitions) return;
-  reps_ = 0;
-  if (cfg_.switch_trains) {
-    train_ = other_train(train_);
-    ++stats_.train_switches;
-  }
+  sweep_.stop();
 }
 
 void Inquirer::on_fhs(const Packet& p, SimTime end) {

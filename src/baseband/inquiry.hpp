@@ -1,32 +1,21 @@
 // Master-side inquiry (device discovery) state machine.
 //
-// While active, the master sweeps a 16-hop train: on every even slot it
-// transmits two 68 us ID packets on consecutive train channels (one per
-// 312.5 us half-slot) and listens for FHS responses on the two paired
-// response channels. After N_inquiry repetitions of a train (2.56 s) it
-// switches trains, if configured to.
-//
-// Virtual slots: unless ChannelConfig::exact_slots is set, a master whose
-// inquiry namespace shows no triggering listener within ff_radius() parks
-// the drumming on a VirtualClock and subscribes for occupancy; on wake it
-// advances train/repetition phase closed-form, credits the skipped IDs and
-// listen windows to the energy/statistics ledgers, reconstructs the (at
-// most two) response-listen pairs still open as backdated listens, and
-// replays the last skipped slot's second ID if its half-slot is still in
-// the future. DESIGN.md section 5c derives why this is byte-equivalent to
-// drumming every slot.
+// While active, the master sweeps the 16-hop inquiry trains on namespace 0
+// with the anonymous GIAC ID (TrainSweep: two IDs per even slot, FHS
+// responses heard on the paired response channels, a train switch after
+// N_inquiry repetitions, 2.56 s, if configured to). This class keeps only
+// the per-session bookkeeping of the responses: which addresses already
+// answered. TrainSweep also owns the virtual-slot fast-forward (DESIGN.md
+// section 5c).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <unordered_set>
-#include <utility>
 
 #include "src/baseband/config.hpp"
 #include "src/baseband/device.hpp"
-#include "src/baseband/hopping.hpp"
-#include "src/sim/simulator.hpp"
-#include "src/sim/virtual_clock.hpp"
+#include "src/baseband/train_sweep.hpp"
 
 namespace bips::baseband {
 
@@ -48,9 +37,6 @@ class Inquirer {
   void stop();
 
   bool active() const { return active_; }
-  Train current_train() const { return train_; }
-  /// Completed repetitions of the current train.
-  int train_repetition() const { return reps_; }
 
   struct Stats {
     std::uint64_t ids_sent = 0;
@@ -62,70 +48,22 @@ class Inquirer {
   /// by now are credited lazily, so a mid-park reader sees the same counts
   /// in both modes.
   const Stats& stats() const {
-    sync_park_stats();
+    stats_.ids_sent = sweep_.ids_sent();
+    stats_.train_switches = sweep_.train_switches();
     return stats_;
   }
 
  private:
-  void tx_slot();
-  void second_id();
-  void close_pair(int k);
   void on_fhs(const Packet& p, SimTime end);
-  void advance_phase();
-  void park(SimTime t0);
-  void wake();
-  void retire_park(SimTime now);
-  /// (train, tx_slot) the drumming would show at the k-th slot after the
-  /// park point, without mutating the live phase.
-  std::pair<Train, std::uint32_t> phase_at(std::uint64_t k) const;
-  /// Advances train_/reps_/tx_slot_ (and the train-switch statistic) by n
-  /// slots in O(1) -- the closed form of n advance_phase() calls.
-  void advance_phase_by(std::uint64_t n);
-  /// Folds the IDs -- and the energy of the elided TX/listen activity --
-  /// of the current park (so far) into the ledgers without ending it;
-  /// wake()/retire_park() subtract what was already credited.
-  void sync_park_stats() const;
 
   Device& dev_;
   InquiryConfig cfg_;
   ResponseCallback on_response_;
 
   bool active_ = false;
-  bool exact_ = true;  // snapshot of ChannelConfig::exact_slots at start()
-  Train train_ = Train::kA;
-  int reps_ = 0;            // completed repetitions of current train
-  std::uint32_t tx_slot_ = 0;  // 0..kTrainTxSlots-1 within a repetition
-  // Fixed per-session state the processes read instead of capturing: the
-  // anonymous GIAC ID packet and the channel of the half-slot-delayed
-  // second ID. Every even slot re-arms the same three process bodies with
-  // no per-slot closure state.
-  Packet id_packet_;
-  std::uint32_t second_channel_ = 0;
-  sim::Process slot_proc_;
-  sim::Process id2_proc_;
-  // Response listens of consecutive TX slots overlap by ~60 us, so up to
-  // two close processes are pending at once; they (and the listen pairs
-  // they close) rotate through these two.
-  sim::Process close_procs_[2];
-  ListenId open_pairs_[2][2] = {{kNoListen, kNoListen},
-                                {kNoListen, kNoListen}};
-  int close_rotor_ = 0;
   std::unordered_set<BdAddr> seen_;
-  // Fast-forward state: the parked cadence (one activation per two slots),
-  // the wake process the occupancy callback arms (callbacks may only
-  // schedule), and the pending subscription, if any.
-  sim::VirtualClock vclock_;
-  sim::Process wake_proc_;
-  OccupancySubId occ_sub_ = kNoOccupancySub;
-  // Mutable for sync_park_stats(): a const stats() read mid-park credits
-  // the elided IDs lazily. park_ids_credited_ is what the current park has
-  // already folded in (reset to 0 when the park ends); the two Durations
-  // are the TX / listen energy the same lazy reads already pushed into the
-  // device's EnergyMeter, subtracted from the bulk credit at wake/retire.
-  mutable Stats stats_;
-  mutable std::uint64_t park_ids_credited_ = 0;
-  mutable Duration park_tx_credited_;
-  mutable Duration park_listen_credited_;
+  mutable Stats stats_;  // the sweep's two counters are copied in on read
+  TrainSweep sweep_;
 };
 
 }  // namespace bips::baseband

@@ -1,11 +1,11 @@
 #include "src/baseband/paging.hpp"
 
+#include "src/baseband/hopping.hpp"
 #include "src/util/log.hpp"
 
 namespace bips::baseband {
 
 namespace {
-constexpr Duration kResponseListenSpan = Duration::micros(1310);
 /// How long either side waits for the counterpart's next packet mid-exchange
 /// before declaring the attempt dead and resuming its sweep/scan.
 constexpr Duration kExchangeTimeout = 4 * kSlot;
@@ -16,17 +16,13 @@ constexpr Duration kExchangeTimeout = 4 * kSlot;
 Pager::Pager(Device& dev, PageConfig cfg)
     : dev_(dev),
       cfg_(cfg),
-      slot_proc_(dev.sim(), [this] { tx_slot(); }),
-      id2_proc_(dev.sim(), [this] { second_id(); }),
-      close_procs_{{dev.sim(), [this] { close_pair(0); }},
-                   {dev.sim(), [this] { close_pair(1); }}},
       fhs_proc_(dev.sim(), [this] { send_fhs(); }),
       ack_timeout_proc_(dev.sim(), [this] { ack_timed_out(); }),
       page_timeout_proc_(dev.sim(), [this] { fail(); }),
-      vclock_(dev.sim(), 2 * kSlot),
-      wake_proc_(dev.sim(), [this] { wake(); }) {
-  BIPS_ASSERT(cfg_.train_repetitions > 0);
-}
+      sweep_(dev, cfg.train_repetitions, cfg.switch_trains,
+             [this](const Packet& p, RfChannel ch, SimTime end) {
+               on_response(p, ch, end);
+             }) {}
 
 std::uint32_t Pager::estimated_clkn(SimTime t) const {
   const auto elapsed_ticks =
@@ -41,14 +37,9 @@ void Pager::page(BdAddr target, std::uint32_t clock_sample,
   BIPS_ASSERT(!target.is_null());
   active_ = true;
   awaiting_ack_ = false;
-  exact_ = dev_.radio().config().exact_slots;
   target_ = target;
-  page_ns_ = page_namespace(target);
   clock_sample_ = clock_sample;
   sample_time_ = sample_time;
-  reps_ = 0;
-  tx_slot_ = 0;
-  on_second_train_ = false;
   ++stats_.pages_started;
   dev_.sim().obs().tracer.emit(dev_.sim().now(), obs::TraceKind::kPageStart,
                                static_cast<std::uint32_t>(dev_.addr().raw()),
@@ -58,15 +49,13 @@ void Pager::page(BdAddr target, std::uint32_t clock_sample,
   // will scan, so a good estimate connects at the slave's first window.
   const std::uint32_t predicted =
       predicted_page_index(estimated_clkn(dev_.sim().now()));
-  train_base_index_ = (predicted + kChannelsPerSet - kTrainSize / 2) %
-                      kChannelsPerSet;
-
-  id_packet_ = Packet{};
-  id_packet_.type = PacketType::kId;
-  id_packet_.sender = dev_.addr();
-  id_packet_.access_code = target_;  // page IDs are addressed
-
-  slot_proc_.call_at(dev_.clock().next_even_slot(dev_.sim().now()));
+  Packet id;
+  id.type = PacketType::kId;
+  id.sender = dev_.addr();
+  id.access_code = target_;  // page IDs are addressed
+  sweep_.start(page_namespace(target_),
+               (predicted + kChannelsPerSet - kTrainSize / 2) % kChannelsPerSet,
+               id, dev_.clock().next_even_slot(dev_.sim().now()));
   if (cfg_.timeout > Duration(0)) {
     page_timeout_proc_.call_after(cfg_.timeout);
   }
@@ -80,17 +69,10 @@ void Pager::cancel() {
 void Pager::cleanup() {
   active_ = false;
   awaiting_ack_ = false;
-  if (vclock_.parked()) absorb_park(dev_.sim().now());
-  wake_proc_.cancel();
-  slot_proc_.cancel();
-  id2_proc_.cancel();
-  close_procs_[0].cancel();
-  close_procs_[1].cancel();
+  sweep_.stop();
   fhs_proc_.cancel();
   ack_timeout_proc_.cancel();
   page_timeout_proc_.cancel();
-  close_pair(0);
-  close_pair(1);
   dev_.radio().stop_listen(ack_listen_);
   ack_listen_ = kNoListen;
 }
@@ -106,261 +88,15 @@ void Pager::fail() {
   if (on_failure_) on_failure_(t);
 }
 
-void Pager::tx_slot() {
-  if (!active_ || awaiting_ack_) return;
-  const SimTime t0 = dev_.sim().now();
-
-  // Virtual-slot park: only the target (whose page namespace this is) can
-  // answer an addressed ID, so with no triggering listener in reach the
-  // sweep is unobservable -- skip ahead. See Inquirer::tx_slot.
-  if (!exact_ && !dev_.radio().occupied(page_ns_, dev_.position())) {
-    park(t0);
-    return;
-  }
-
-  const std::uint32_t idx1 =
-      (train_base_index_ + tx_slot_ * 2) % kChannelsPerSet;
-  second_index_ = (train_base_index_ + tx_slot_ * 2 + 1) % kChannelsPerSet;
-
-  dev_.radio().transmit(&dev_, page_channel(target_, idx1), id_packet_);
-  ++stats_.ids_sent;
-  id2_proc_.call_after(kHalfSlot);
-
-  auto handler = [this](const Packet& p, RfChannel ch, SimTime end) {
-    on_response(p, ch, end);
-  };
-  ListenId* pair = open_pairs_[close_rotor_];
-  pair[0] = dev_.radio().start_listen(&dev_, page_channel(target_, idx1),
-                                      handler, ListenKind::kPassive);
-  pair[1] = dev_.radio().start_listen(&dev_, page_channel(target_, second_index_),
-                                      handler, ListenKind::kPassive);
-  close_procs_[close_rotor_].call_at(t0 + kResponseListenSpan);
-  close_rotor_ ^= 1;
-
-  advance_phase();
-  slot_proc_.call_at(t0 + 2 * kSlot);
-}
-
-void Pager::park(SimTime t0) {
-  vclock_.park(t0);
-  occ_sub_ = dev_.radio().subscribe_occupancy(
-      page_ns_, dev_.position(), [this](SimTime) {
-        // Fired from inside a triggering registration: only schedule here.
-        occ_sub_ = kNoOccupancySub;
-        wake_proc_.call_at(dev_.sim().now());
-      });
-}
-
-void Pager::wake() {
-  if (!active_ || awaiting_ack_ || !vclock_.parked()) return;
-  const SimTime now = dev_.sim().now();
-  const SimTime parked_at = vclock_.parked_at();
-  const auto wk = vclock_.wake(now);
-  const SimTime resume = wk.resume;
-  const std::uint64_t n = wk.skipped;
-
-  if (n > 0) {
-    // Credit the elided sweep exactly as the exact path would have accrued
-    // it (two 68 us IDs per skipped slot; the last second ID is replayed
-    // for real instead of credited if it is still in the future).
-    const SimTime p1 = resume - 2 * kSlot;  // last skipped slot (k = n-1)
-    const bool replay_second = p1 + kHalfSlot >= now;
-    const std::uint64_t ids = 2 * n - (replay_second ? 1 : 0);
-    stats_.ids_sent += ids - park_ids_credited_;  // minus lazy mid-park reads
-    park_ids_credited_ = 0;
-    dev_.account_tx(Duration::micros(68) * static_cast<std::int64_t>(ids) -
-                    park_tx_credited_);
-    park_tx_credited_ = Duration(0);
-
-    // Reconstruct the (at most two) response-listen pairs still open as
-    // backdated listens; fully-elapsed windows are credited closed-form.
-    std::uint64_t reconstructed = 0;
-    auto handler = [this](const Packet& p, RfChannel ch, SimTime end) {
-      on_response(p, ch, end);
-    };
-    const auto reconstruct = [&](std::uint64_t k, SimTime slot_t) {
-      const auto [i1, i2] = indices_at(k);
-      ListenId* pair = open_pairs_[close_rotor_];
-      BIPS_ASSERT(pair[0] == kNoListen && pair[1] == kNoListen);
-      pair[0] = dev_.radio().start_listen_backdated(
-          &dev_, page_channel(target_, i1), slot_t, handler,
-          ListenKind::kPassive);
-      pair[1] = dev_.radio().start_listen_backdated(
-          &dev_, page_channel(target_, i2), slot_t, handler,
-          ListenKind::kPassive);
-      close_procs_[close_rotor_].call_at(slot_t + kResponseListenSpan);
-      close_rotor_ ^= 1;
-      ++reconstructed;
-    };
-    if (n >= 2) {
-      const SimTime p2 = resume - 4 * kSlot;
-      if (p2 + kResponseListenSpan > now) reconstruct(n - 2, p2);
-    }
-    reconstruct(n - 1, p1);  // now <= resume = p1 + 1250 < p1 + span: open
-    // Reconstructed windows have t + span > now, so the lazy mid-park
-    // crediting (strictly-closed windows only) never counted them.
-    dev_.account_listen(2 * kResponseListenSpan *
-                            static_cast<std::int64_t>(n - reconstructed) -
-                        park_listen_credited_);
-    park_listen_credited_ = Duration(0);
-
-    if (replay_second) {
-      second_index_ = indices_at(n - 1).second;
-      id2_proc_.call_at(p1 + kHalfSlot);
-    }
-
-    advance_phase_by(n);
-    dev_.sim().obs().tracer.emit(now, obs::TraceKind::kRadioFf,
-                                 static_cast<std::uint32_t>(dev_.addr().raw()),
-                                 n, static_cast<std::uint64_t>(
-                                        (now - parked_at).ns()));
-  }
-  slot_proc_.call_at(resume);
-}
-
-void Pager::absorb_park(SimTime now) {
-  const SimTime parked_at = vclock_.parked_at();
-  const std::uint64_t n = vclock_.retire(now);
-  if (occ_sub_ != kNoOccupancySub) {
-    dev_.radio().unsubscribe_occupancy(page_ns_, occ_sub_);
-    occ_sub_ = kNoOccupancySub;
-  }
-  if (n == 0) return;
-  // Mirror of Inquirer::retire_park: credit the n slots the exact path
-  // would have drummed before this stop.
-  const SimTime last = parked_at + (n - 1) * (2 * kSlot);
-  const bool last_second = last + kHalfSlot < now;
-  const std::uint64_t ids = 2 * n - (last_second ? 0 : 1);
-  stats_.ids_sent += ids - park_ids_credited_;  // minus lazy mid-park reads
-  park_ids_credited_ = 0;
-  dev_.account_tx(Duration::micros(68) * static_cast<std::int64_t>(ids) -
-                  park_tx_credited_);
-  park_tx_credited_ = Duration(0);
-  Duration listen_credit{0};
-  const std::uint64_t full = n > 2 ? n - 2 : 0;
-  listen_credit += 2 * kResponseListenSpan * static_cast<std::int64_t>(full);
-  for (std::uint64_t k = full; k < n; ++k) {
-    const SimTime t = parked_at + k * (2 * kSlot);
-    const Duration open = now - t;
-    listen_credit += 2 * (open < kResponseListenSpan ? open
-                                                     : kResponseListenSpan);
-  }
-  // Lazy mid-park reads only credited fully-closed windows at full span,
-  // which the bulk figure includes too: subtraction cannot go negative.
-  dev_.account_listen(listen_credit - park_listen_credited_);
-  park_listen_credited_ = Duration(0);
-  advance_phase_by(n);
-  dev_.sim().obs().tracer.emit(now, obs::TraceKind::kRadioFf,
-                               static_cast<std::uint32_t>(dev_.addr().raw()),
-                               n, static_cast<std::uint64_t>(
-                                      (now - parked_at).ns()));
-}
-
-void Pager::sync_park_stats() const {
-  if (!vclock_.parked()) return;
-  const SimTime now = dev_.sim().now();
-  const std::uint64_t n = vclock_.elided_before(now);
-  if (n == 0) return;
-  // Same crediting formula wake()/absorb_park() apply when the park ends
-  // (see Inquirer::sync_park_stats for the derivation).
-  const SimTime last = vclock_.parked_at() + (n - 1) * (2 * kSlot);
-  const std::uint64_t ids = 2 * n - (last + kHalfSlot < now ? 0 : 1);
-  stats_.ids_sent += ids - park_ids_credited_;
-  park_ids_credited_ = ids;
-  // Energy rides the same lazy scheme (see Inquirer::sync_park_stats for
-  // the window-counting derivation): IDs at their transmit instants,
-  // response windows only once strictly closed.
-  const Duration tx = Duration::micros(68) * static_cast<std::int64_t>(ids);
-  dev_.account_tx(tx - park_tx_credited_);
-  park_tx_credited_ = tx;
-  const std::int64_t fully_closed_span =
-      (now - vclock_.parked_at() - kResponseListenSpan).ns();
-  const std::int64_t step = (2 * kSlot).ns();
-  std::uint64_t closed =
-      fully_closed_span > 0
-          ? static_cast<std::uint64_t>((fully_closed_span + step - 1) / step)
-          : 0;
-  if (closed > n) closed = n;
-  const Duration listen =
-      2 * kResponseListenSpan * static_cast<std::int64_t>(closed);
-  dev_.account_listen(listen - park_listen_credited_);
-  park_listen_credited_ = listen;
-}
-
-std::pair<std::uint32_t, std::uint32_t> Pager::indices_at(
-    std::uint64_t k) const {
-  const std::uint64_t per_train =
-      static_cast<std::uint64_t>(kTrainTxSlots) *
-      static_cast<std::uint64_t>(cfg_.train_repetitions);
-  const std::uint64_t total = tx_slot_ +
-                              static_cast<std::uint64_t>(kTrainTxSlots) *
-                                  static_cast<std::uint64_t>(reps_) +
-                              k;
-  std::uint32_t base = train_base_index_;
-  if (cfg_.switch_trains && ((total / per_train) & 1) != 0) {
-    base = (base + kTrainSize) % kChannelsPerSet;
-  }
-  const std::uint32_t ts = static_cast<std::uint32_t>(total % kTrainTxSlots);
-  return {(base + ts * 2) % kChannelsPerSet,
-          (base + ts * 2 + 1) % kChannelsPerSet};
-}
-
-void Pager::advance_phase_by(std::uint64_t n) {
-  const std::uint64_t per_train =
-      static_cast<std::uint64_t>(kTrainTxSlots) *
-      static_cast<std::uint64_t>(cfg_.train_repetitions);
-  std::uint64_t total = tx_slot_ +
-                        static_cast<std::uint64_t>(kTrainTxSlots) *
-                            static_cast<std::uint64_t>(reps_) +
-                        n;
-  const std::uint64_t crossings = total / per_train;
-  if (cfg_.switch_trains && (crossings & 1) != 0) {
-    train_base_index_ = (train_base_index_ + kTrainSize) % kChannelsPerSet;
-    on_second_train_ = !on_second_train_;
-  }
-  total %= per_train;
-  reps_ = static_cast<int>(total / kTrainTxSlots);
-  tx_slot_ = static_cast<std::uint32_t>(total % kTrainTxSlots);
-}
-
-void Pager::second_id() {
-  if (!active_ || awaiting_ack_) return;
-  dev_.radio().transmit(&dev_, page_channel(target_, second_index_),
-                        id_packet_);
-  ++stats_.ids_sent;
-}
-
-void Pager::close_pair(int k) {
-  for (ListenId& id : open_pairs_[k]) {
-    dev_.radio().stop_listen(id);
-    id = kNoListen;
-  }
-}
-
-void Pager::advance_phase() {
-  if (++tx_slot_ < kTrainTxSlots) return;
-  tx_slot_ = 0;
-  if (++reps_ < cfg_.train_repetitions) return;
-  reps_ = 0;
-  if (cfg_.switch_trains) {
-    train_base_index_ =
-        (train_base_index_ + kTrainSize) % kChannelsPerSet;
-    on_second_train_ = !on_second_train_;
-  }
-}
-
 void Pager::on_response(const Packet& p, RfChannel ch, SimTime end) {
   if (!active_ || awaiting_ack_) return;
   if (p.type != PacketType::kId || p.access_code != target_) return;
-  // Defensive: a response while parked is unreachable (the scanner's
-  // occupancy hold wakes the sweep before its response lands), but if one
-  // ever slipped through, absorb the park so the frozen sweep stays sane.
-  if (vclock_.parked()) absorb_park(dev_.sim().now());
   // Target answered: freeze the sweep and send the FHS 625 us after the
-  // response began.
+  // response began. (A response while parked is unreachable -- the
+  // scanner's occupancy hold wakes the sweep before its response lands --
+  // but pause() would credit and end the park if one ever slipped through.)
+  sweep_.pause();
   awaiting_ack_ = true;
-  slot_proc_.cancel();
-  id2_proc_.cancel();
 
   contact_ch_ = ch;
   const SimTime resp_start = end - p.duration();
@@ -391,7 +127,7 @@ void Pager::ack_timed_out() {
   dev_.radio().stop_listen(ack_listen_);
   ack_listen_ = kNoListen;
   awaiting_ack_ = false;
-  slot_proc_.call_at(dev_.clock().next_even_slot(dev_.sim().now()));
+  sweep_.resume(dev_.clock().next_even_slot(dev_.sim().now()));
 }
 
 void Pager::on_ack(const Packet& p, SimTime end) {

@@ -17,12 +17,12 @@
 // after which both sides report the connection. There is no response
 // backoff in paging: the ID is addressed, so only one device ever answers
 // (page responses cannot collide the way inquiry responses do).
-// Virtual slots: like the Inquirer, a pager whose target's page namespace
-// shows no triggering listener within ff_radius() parks its sweep on a
-// VirtualClock and fast-forwards closed-form when the target's scan window
-// (the only thing that can answer an addressed ID) appears; the scanner
-// side covers its committed response/ack flights with occupancy holds. See
-// DESIGN.md section 5c.
+//
+// The master's train sweep, and its virtual-slot fast-forward, is a
+// TrainSweep on the target's page namespace (DESIGN.md section 5c): only
+// the target can answer an addressed ID, so the sweep parks while no
+// target scan window is in reach, and the scanner side covers its
+// committed response/ack flights with occupancy holds.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +31,8 @@
 
 #include "src/baseband/config.hpp"
 #include "src/baseband/device.hpp"
-#include "src/baseband/hopping.hpp"
+#include "src/baseband/train_sweep.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/sim/virtual_clock.hpp"
 
 namespace bips::baseband {
 
@@ -70,36 +69,19 @@ class Pager {
   /// Mode-invariant: while parked, the IDs the exact path would have sent
   /// by now are credited lazily (see Inquirer::stats).
   const Stats& stats() const {
-    sync_park_stats();
+    stats_.ids_sent = sweep_.ids_sent();
     return stats_;
   }
 
  private:
   /// Estimated CLKN of the target at time t, extrapolated from the sample.
   std::uint32_t estimated_clkn(SimTime t) const;
-  void tx_slot();
-  void second_id();
-  void close_pair(int k);
   void send_fhs();
   void ack_timed_out();
-  void advance_phase();
   void on_response(const Packet& p, RfChannel ch, SimTime end);
   void on_ack(const Packet& p, SimTime end);
   void fail();
   void cleanup();
-  void park(SimTime t0);
-  void wake();
-  /// Ends a park with no resume (cancel/timeout/shutdown), crediting the
-  /// sweep the exact path would have drummed before `now`.
-  void absorb_park(SimTime now);
-  /// (first index, second index) of the two IDs the k-th slot after the
-  /// park point would sweep, without mutating the live phase.
-  std::pair<std::uint32_t, std::uint32_t> indices_at(std::uint64_t k) const;
-  void advance_phase_by(std::uint64_t n);
-  /// Folds the IDs -- and the energy of the elided TX/listen activity --
-  /// of the current park (so far) into the ledgers without ending it;
-  /// wake()/absorb_park() subtract what was already credited.
-  void sync_park_stats() const;
 
   Device& dev_;
   PageConfig cfg_;
@@ -107,47 +89,20 @@ class Pager {
   FailureCallback on_failure_;
 
   bool active_ = false;
-  bool awaiting_ack_ = false;
+  bool awaiting_ack_ = false;  // the sweep is paused mid-exchange
   BdAddr target_;
   std::uint32_t clock_sample_ = 0;
   SimTime sample_time_;
-  std::uint32_t train_base_index_ = 0;  // first index of current train
-  bool on_second_train_ = false;
-  int reps_ = 0;
-  std::uint32_t tx_slot_ = 0;
 
-  // Per-page state the processes read instead of capturing per slot: the
-  // addressed ID packet, the channel of the delayed second ID, and the
-  // contact channel the response arrived on.
-  Packet id_packet_;
-  std::uint32_t second_index_ = 0;
+  // The contact channel the response arrived on, which the processes read
+  // instead of capturing.
   RfChannel contact_ch_;
-  sim::Process slot_proc_;
-  sim::Process id2_proc_;
-  sim::Process close_procs_[2];
-  ListenId open_pairs_[2][2] = {{kNoListen, kNoListen},
-                                {kNoListen, kNoListen}};
-  int close_rotor_ = 0;
   sim::Process fhs_proc_;
   sim::Process ack_timeout_proc_;
   sim::Process page_timeout_proc_;
   ListenId ack_listen_ = kNoListen;
-
-  // Fast-forward state (see Inquirer).
-  bool exact_ = true;
-  std::uint32_t page_ns_ = 0;  // the target's hop-set namespace
-  sim::VirtualClock vclock_;
-  sim::Process wake_proc_;
-  OccupancySubId occ_sub_ = kNoOccupancySub;
-
-  // Mutable for sync_park_stats() (const reads mid-park credit lazily);
-  // park_ids_credited_ is what the current park has already folded in, and
-  // the two Durations the TX / listen energy those reads already pushed
-  // into the device's EnergyMeter (subtracted from the bulk wake credit).
-  mutable Stats stats_;
-  mutable std::uint64_t park_ids_credited_ = 0;
-  mutable Duration park_tx_credited_;
-  mutable Duration park_listen_credited_;
+  mutable Stats stats_;  // ids_sent is copied in from the sweep on read
+  TrainSweep sweep_;
 };
 
 /// Slave side: periodically listens for pages addressed to it.

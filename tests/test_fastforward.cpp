@@ -10,12 +10,16 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/baseband/device.hpp"
 #include "src/baseband/inquiry.hpp"
 #include "src/baseband/inquiry_scan.hpp"
+#include "src/baseband/paging.hpp"
 #include "src/baseband/piconet.hpp"
 #include "src/baseband/radio.hpp"
+#include "src/baseband/train_sweep.hpp"
 #include "src/core/parallel.hpp"
 #include "src/fault/plan.hpp"
 #include "src/obs/trace.hpp"
@@ -33,9 +37,16 @@ using baseband::InquiryConfig;
 using baseband::InquiryResponse;
 using baseband::InquiryScanner;
 using baseband::Inquirer;
+using baseband::Packet;
+using baseband::PacketType;
+using baseband::PageConfig;
+using baseband::PageScanner;
+using baseband::Pager;
 using baseband::RadioChannel;
+using baseband::RfChannel;
 using baseband::ScanChannelMode;
 using baseband::ScanConfig;
+using baseband::TrainSweep;
 
 // ---- VirtualClock lattice contract --------------------------------------
 
@@ -81,31 +92,44 @@ TEST(VirtualClock, RetireCountsElisionsWithoutAResumeSlot) {
 
 // ---- occupancy wake / re-idle at the slot boundary ----------------------
 
+// The two master procedures that drum the ID train and fast-forward it.
+enum class Procedure { kInquiry, kPage };
+
 struct TrialResult {
-  std::optional<SimTime> discovered;
+  // Each instant the master reached the target: the inquirer's first FHS,
+  // or every completed page.
+  std::vector<std::int64_t> reached_ns;
   std::uint64_t ids_sent = 0;
-  std::uint64_t ids_heard = 0;
-  std::uint64_t fhs_received = 0;
+  std::uint64_t ids_heard = 0;  // IDs (inquiry) or page IDs the target heard
+  std::uint64_t responses = 0;  // FHS received / pages succeeded
+  std::uint64_t pages_failed = 0;
   std::uint64_t skipped = 0;
   std::uint64_t wakeups = 0;
   std::int64_t tx_ns = 0;      // master's energy ledger (TX airtime)
   std::int64_t listen_ns = 0;  // master's energy ledger (receiver-on time)
 };
 
-// One master inquiring forever; one scanner that starts far out of range,
-// enters coverage at t=2.5 s and leaves again at t=7 s. In fast-forward
-// mode the master must park while alone, wake on the exact slot lattice
-// when the scanner's next window registers in range, re-park in every scan
-// gap, and park for good once the scanner is gone. Position changes land in
-// the scanner's window *gaps*: listen positions are snapshotted at
-// registration, and the ff-radius contract covers walking drift within a
-// window, not teleports (a real walker crosses the coverage edge at m/s).
-TrialResult range_transition_trial(std::uint64_t seed, bool exact,
-                                   bool spatial_grid) {
+// One master running `proc` forever against one target that starts far out
+// of range, enters coverage at t=2.5 s and leaves again at t=7 s. In
+// fast-forward mode the master must park while alone, wake on the exact slot
+// lattice when the target's next scan window registers in range, re-park in
+// every scan gap, and park for good once the target is gone. Position
+// changes land in the target's window *gaps*: listen positions are
+// snapshotted at registration, and the ff-radius contract covers walking
+// drift within a window, not teleports (a real walker crosses the coverage
+// edge at m/s).
+//
+// The pager pages the target again after every success and every failure,
+// so the same run also exits parks through its page timeout (out of range)
+// and, on a lossy channel, through exchanges whose FHS or ack is lost.
+TrialResult range_transition_trial(Procedure proc, std::uint64_t seed,
+                                   bool exact, bool spatial_grid,
+                                   double packet_error_rate = 0.0) {
   ChannelConfig ch;
   ch.exact_slots = exact;
   ch.spatial_grid = spatial_grid;
   ch.grid_threshold = spatial_grid ? 1 : 48;  // force the grid path when on
+  ch.packet_error_rate = packet_error_rate;
   sim::Simulator sim;
   Rng rng(seed);
   RadioChannel radio(sim, rng, ch);
@@ -114,9 +138,6 @@ TrialResult range_transition_trial(std::uint64_t seed, bool exact,
   slave.set_position({100, 0});  // far outside the 10 m range
 
   TrialResult r;
-  Inquirer inq(master, InquiryConfig{}, [&](const InquiryResponse& resp) {
-    if (!r.discovered) r.discovered = resp.received_at;
-  });
   // Dense periodic scan: windows [k*640, k*640+320) ms re-register every
   // cycle, so position changes (placed in the gaps at 2.5 s and 7 s) take
   // effect at the next window in both modes alike, and the 4.5 s in-range
@@ -124,11 +145,45 @@ TrialResult range_transition_trial(std::uint64_t seed, bool exact,
   ScanConfig scfg;
   scfg.window = Duration::millis(320);
   scfg.interval = Duration::millis(640);
-  InquiryScanner scan(slave, scfg, BackoffConfig{});
-  scan.set_initial_channel(
-      static_cast<std::uint32_t>(rng.uniform(baseband::kTrainSize)));
-  scan.start_with_phase(Duration(0));  // pin windows to the k*640 ms grid
-  inq.start();
+  std::optional<Inquirer> inq;
+  std::optional<InquiryScanner> scan;
+  std::optional<Pager> pager;
+  std::optional<PageScanner> pscan;
+  if (proc == Procedure::kInquiry) {
+    inq.emplace(master, InquiryConfig{}, [&](const InquiryResponse& resp) {
+      r.reached_ns.push_back(resp.received_at.ns());
+    });
+    scan.emplace(slave, scfg, BackoffConfig{});
+    scan->set_initial_channel(
+        static_cast<std::uint32_t>(rng.uniform(baseband::kTrainSize)));
+    scan->start_with_phase(Duration(0));  // pin windows to the k*640 ms grid
+    inq->start();
+  } else {
+    // Two repetitions per train: a train lasts 20 ms, so every parked
+    // stretch crosses many train switches. The timeout fails every page
+    // begun out of range while the sweep is parked; it lies off the
+    // 312.5 us lattice, so those parks end part-way through a slot.
+    PageConfig pcfg;
+    pcfg.train_repetitions = 2;
+    pcfg.timeout = Duration::micros(1'100'100);
+    pager.emplace(master, pcfg);
+    pscan.emplace(slave, scfg);
+    const auto page = [&] {
+      pager->page(slave.addr(), slave.clock().clkn(sim.now()), sim.now());
+    };
+    pager->set_on_success([&r, page](BdAddr, SimTime when) {
+      r.reached_ns.push_back(when.ns());
+      page();
+    });
+    pager->set_on_failure([page](BdAddr) { page(); });
+    // A connected target stops scanning; it resumes on the k*640 ms grid.
+    pscan->set_on_connected([&](BdAddr, std::uint32_t, SimTime now) {
+      pscan->start_with_phase(scfg.interval -
+                              Duration(now.ns() % scfg.interval.ns()));
+    });
+    pscan->start_with_phase(Duration(0));
+    page();
+  }
 
   sim.run_until(SimTime(Duration::millis(2'500).ns()));
   slave.set_position({5, 0});  // walk in (scan gap: 2500 mod 640 >= 320)
@@ -140,66 +195,126 @@ TrialResult range_transition_trial(std::uint64_t seed, bool exact,
   // off-lattice keeps the two bookkeeping views comparable.
   sim.run_until(SimTime(Duration::micros(10'000'100).ns()));
 
-  r.ids_sent = inq.stats().ids_sent;
-  r.fhs_received = inq.stats().fhs_received;
-  r.ids_heard = scan.stats().ids_heard;
-  // The stats() read above also settled the lazy energy credit of any
+  // Each stats() read below also settles the lazy energy credit of any
   // in-progress park (probe is off-lattice, so both modes agree on which
   // TX/listen intervals have completed by now).
+  if (inq) {
+    r.ids_sent = inq->stats().ids_sent;
+    r.responses = inq->stats().fhs_received;
+    r.ids_heard = scan->stats().ids_heard;
+  } else {
+    r.ids_sent = pager->stats().ids_sent;
+    r.responses = pager->stats().pages_succeeded;
+    r.pages_failed = pager->stats().pages_failed;
+    r.ids_heard = pscan->stats().pages_heard;
+  }
   r.tx_ns = master.energy().tx_time.ns();
   r.listen_ns = master.energy().listen_time.ns();
-  // stop() retires the final park, settling its elisions into the counter
+  // Stopping retires the final park, settling its elisions into the counter
   // (while parked, only the lazy stats() view is current).
-  inq.stop();
-  scan.stop();
+  if (inq) {
+    inq->stop();
+    scan->stop();
+  } else {
+    pager->cancel();
+    pscan->stop();
+  }
   r.skipped = sim.obs().metrics.counter_value("kernel.skipped_slots");
   r.wakeups = sim.obs().metrics.counter_value("radio.occ_wakeups");
   return r;
 }
 
+// The comparisons every procedure's trial must pass.
+void expect_modes_agree(const TrialResult& ex, const TrialResult& ff,
+                        const std::string& label) {
+  // Fast-forward must reach the target at the exact path's instants -- a
+  // wake that misses the 1250 us lattice by even one half-slot
+  // desynchronises the train sweep and shows up here.
+  EXPECT_EQ(ex.reached_ns, ff.reached_ns) << label;
+
+  // Every observable statistic matches: the elided slots are credited as if
+  // they had run.
+  EXPECT_EQ(ex.ids_sent, ff.ids_sent) << label;
+  EXPECT_EQ(ex.ids_heard, ff.ids_heard) << label;
+  EXPECT_EQ(ex.responses, ff.responses) << label;
+  EXPECT_EQ(ex.pages_failed, ff.pages_failed) << label;
+
+  // The energy ledger is mode-invariant too: a mid-park read credits the
+  // elided TX/listen time lazily, pinned to the same completed intervals
+  // the exact path accounted.
+  EXPECT_GT(ex.tx_ns, 0) << label;
+  EXPECT_EQ(ex.tx_ns, ff.tx_ns) << label;
+  EXPECT_GT(ex.listen_ns, 0) << label;
+  EXPECT_EQ(ex.listen_ns, ff.listen_ns) << label;
+
+  // Mode bookkeeping: exact mode never parks. Fast-forward parked before
+  // the target arrived, in every scan gap while it was near (hence >= 2
+  // occupancy wakeups: each wake implies the master had re-idled first),
+  // and for the whole post-departure stretch -- the final 3 s alone elide
+  // > 2000 slot activations.
+  EXPECT_EQ(ex.skipped, 0u) << label;
+  EXPECT_EQ(ex.wakeups, 0u) << label;
+  EXPECT_GE(ff.wakeups, 2u) << label;
+  EXPECT_GT(ff.skipped, 2000u) << label;
+}
+
 TEST(FastForward, RangeTransitionsWakeAndReidleOnTheExactSlotBoundary) {
   for (const bool spatial_grid : {false, true}) {
     for (std::uint64_t seed = 31; seed < 36; ++seed) {
-      const TrialResult ex =
-          range_transition_trial(seed, /*exact=*/true, spatial_grid);
-      const TrialResult ff =
-          range_transition_trial(seed, /*exact=*/false, spatial_grid);
-      const std::string label =
-          (spatial_grid ? "grid" : "flat") + std::string(", seed ") +
-          std::to_string(seed);
-
-      // The exact drumming discovers the scanner; fast-forward must land on
-      // the identical instant -- a wake that misses the 1250 us lattice by
-      // even one half-slot desynchronises the train sweep and shows up here.
-      ASSERT_TRUE(ex.discovered.has_value()) << label;
-      ASSERT_TRUE(ff.discovered.has_value()) << label;
-      EXPECT_EQ(ex.discovered->ns(), ff.discovered->ns()) << label;
-
-      // Every observable statistic matches: the elided slots are credited
-      // as if they had run.
-      EXPECT_EQ(ex.ids_sent, ff.ids_sent) << label;
-      EXPECT_EQ(ex.ids_heard, ff.ids_heard) << label;
-      EXPECT_EQ(ex.fhs_received, ff.fhs_received) << label;
-
-      // The energy ledger is mode-invariant too: a mid-park read credits
-      // the elided TX/listen time lazily, pinned to the same completed
-      // intervals the exact path accounted.
-      EXPECT_GT(ex.tx_ns, 0) << label;
-      EXPECT_EQ(ex.tx_ns, ff.tx_ns) << label;
-      EXPECT_GT(ex.listen_ns, 0) << label;
-      EXPECT_EQ(ex.listen_ns, ff.listen_ns) << label;
-
-      // Mode bookkeeping: exact mode never parks. Fast-forward parked
-      // before the scanner arrived, in every scan gap while it was near
-      // (hence >= 2 occupancy wakeups: each wake implies the master had
-      // re-idled first), and for the whole post-departure stretch -- the
-      // final 3 s alone elide > 2000 slot activations.
-      EXPECT_EQ(ex.skipped, 0u) << label;
-      EXPECT_EQ(ex.wakeups, 0u) << label;
-      EXPECT_GE(ff.wakeups, 2u) << label;
-      EXPECT_GT(ff.skipped, 2000u) << label;
+      const TrialResult ex = range_transition_trial(
+          Procedure::kInquiry, seed, /*exact=*/true, spatial_grid);
+      const TrialResult ff = range_transition_trial(
+          Procedure::kInquiry, seed, /*exact=*/false, spatial_grid);
+      const std::string label = (spatial_grid ? "grid" : "flat") +
+                                std::string(", seed ") + std::to_string(seed);
+      EXPECT_EQ(ex.reached_ns.size(), 1u) << label;  // one session, one FHS
+      expect_modes_agree(ex, ff, label);
     }
   }
+}
+
+TEST(FastForward, PagerRangeTransitionsMatchTheExactSweep) {
+  for (const bool spatial_grid : {false, true}) {
+    for (std::uint64_t seed = 31; seed < 51; ++seed) {
+      const TrialResult ex = range_transition_trial(
+          Procedure::kPage, seed, /*exact=*/true, spatial_grid);
+      const TrialResult ff = range_transition_trial(
+          Procedure::kPage, seed, /*exact=*/false, spatial_grid);
+      const std::string label = (spatial_grid ? "grid" : "flat") +
+                                std::string(", seed ") + std::to_string(seed);
+      expect_modes_agree(ex, ff, label);
+      // The target was paged in range at every window of the 4.5 s stretch,
+      // and the pages begun out of range (before 2.5 s and after 7 s)
+      // ended in timeouts -- under fast-forward, while parked.
+      EXPECT_GE(ex.reached_ns.size(), 5u) << label;
+      EXPECT_GE(ex.pages_failed, 4u) << label;
+    }
+  }
+}
+
+TEST(FastForward, PagerExchangeTimeoutsResumeTheSweepInBothModes) {
+  // On a lossy channel some exchanges lose the FHS or the ack after the
+  // target answered: the pager pauses its sweep on the answer, and resumes
+  // it at the next even slot when the ack times out. The FHS count, read
+  // off the TX ledger (68 us per ID, 366 us per FHS), exceeds the successes
+  // when some exchange was abandoned after its FHS.
+  std::uint64_t reached = 0;
+  std::uint64_t abandoned = 0;
+  for (std::uint64_t seed = 31; seed < 51; ++seed) {
+    const TrialResult ex = range_transition_trial(
+        Procedure::kPage, seed, /*exact=*/true, /*spatial_grid=*/false, 0.3);
+    const TrialResult ff = range_transition_trial(
+        Procedure::kPage, seed, /*exact=*/false, /*spatial_grid=*/false, 0.3);
+    const std::string label = "seed " + std::to_string(seed);
+    expect_modes_agree(ex, ff, label);
+    const std::int64_t fhs_ns =
+        ex.tx_ns - static_cast<std::int64_t>(ex.ids_sent) * 68'000;
+    ASSERT_EQ(fhs_ns % 366'000, 0) << label;
+    reached += ex.reached_ns.size();
+    abandoned += static_cast<std::uint64_t>(fhs_ns / 366'000) - ex.responses;
+  }
+  EXPECT_GT(reached, 0u);
+  EXPECT_GT(abandoned, 0u);
 }
 
 TEST(FastForward, ParkedInquirerCreditsStatsLazily) {
@@ -225,6 +340,117 @@ TEST(FastForward, ParkedInquirerCreditsStatsLazily) {
   inq.stop();
   EXPECT_EQ(inq.stats().ids_sent, at_stop);
   EXPECT_GT(sim.obs().metrics.counter_value("kernel.skipped_slots"), 0u);
+}
+
+// ---- TrainSweep wake reconstruction, probed directly -------------------
+
+struct SweepProbeResult {
+  // (end ns, channel index) of every ID the probe heard, and of every
+  // packet the sweep's response windows received.
+  std::vector<std::pair<std::int64_t, std::uint32_t>> heard;
+  std::vector<std::pair<std::int64_t, std::uint32_t>> responses;
+  std::uint64_t ids_sent = 0;
+  std::int64_t tx_ns = 0;
+  std::int64_t listen_ns = 0;
+  std::uint64_t skipped = 0;
+};
+
+// A bare TrainSweep (one repetition per train, so parks straddle train
+// switches) and a probe 3 m away. In each round the probe sends an ID on all
+// 32 channels of the sweep's namespace, then opens listens on all 32 for
+// 3 ms, which wakes a parked sweep; the rounds are 37 TX slots apart, so the
+// sweep re-parks in between. Relative to the TX slot L at or before the
+// wake, the four kinds of round cover each part of a wake:
+//   window L+130 us, IDs at L+100 us: replayed second ID; the in-flight IDs
+//     land in the rebuilt pair of slot L.
+//   window L+20 us, IDs at L-30 us: replayed second ID; both pairs rebuilt,
+//     the IDs land in the older one (slot L-1250 us, open until L+60 us).
+//   window L+625 us, IDs at L+600 us: no replay; rebuilt pair of slot L.
+//   window L (on the lattice), IDs at L-30 us: the slot at L runs in both
+//     modes; the IDs land in the rebuilt pair of slot L-1250 us.
+// No in-flight ID overlaps an ID the sweep sent before the wake, which only
+// the exact path transmits.
+SweepProbeResult sweep_probe_trial(bool exact) {
+  ChannelConfig ch;
+  ch.exact_slots = exact;
+  sim::Simulator sim;
+  Rng rng(9);
+  RadioChannel radio(sim, rng, ch);
+  Device master(sim, radio, BdAddr(0xA1), rng.fork());
+  Device probe(sim, radio, BdAddr(0xB1), rng.fork(), {3, 0});
+  constexpr std::uint32_t kNs = 7;
+
+  SweepProbeResult r;
+  TrainSweep sweep(master, /*train_repetitions=*/1, /*switch_trains=*/true,
+                   [&r](const Packet&, RfChannel c, SimTime end) {
+                     r.responses.emplace_back(end.ns(), c.index);
+                   });
+  Packet id;
+  id.type = PacketType::kId;
+  id.sender = master.addr();
+  id.access_code = probe.addr();
+  const SimTime t0 = master.clock().next_even_slot(SimTime(0));
+  sweep.start(kNs, 3, id, t0);
+
+  struct Round {
+    Duration window;
+    Duration ids;
+  };
+  const Round kinds[] = {
+      {Duration::micros(130), Duration::micros(100)},
+      {Duration::micros(20), Duration::micros(-30)},
+      {Duration::micros(625), Duration::micros(600)},
+      {Duration(0), Duration::micros(-30)},
+  };
+  Packet probe_id = id;
+  probe_id.sender = probe.addr();
+  std::vector<baseband::ListenId> listens;
+  constexpr int kRounds = 32;
+  for (int i = 0; i < kRounds; ++i) {
+    const SimTime slot = t0 + (20 + 37 * i) * (2 * kSlot);
+    const Round& k = kinds[i % 4];
+    sim.schedule_at(slot + k.ids, [&radio, &probe, probe_id] {
+      for (std::uint32_t c = 0; c < baseband::kChannelsPerSet; ++c) {
+        radio.transmit(&probe, RfChannel{kNs, c}, probe_id);
+      }
+    });
+    sim.schedule_at(slot + k.window, [&] {
+      for (std::uint32_t c = 0; c < baseband::kChannelsPerSet; ++c) {
+        listens.push_back(radio.start_listen(
+            &probe, RfChannel{kNs, c},
+            [&r](const Packet&, RfChannel hc, SimTime end) {
+              r.heard.emplace_back(end.ns(), hc.index);
+            }));
+      }
+    });
+    sim.schedule_at(slot + k.window + Duration::millis(3), [&] {
+      for (const baseband::ListenId l : listens) radio.stop_listen(l);
+      listens.clear();
+    });
+  }
+  // Off the 312.5 us lattice, like range_transition_trial's probe.
+  sim.run_until(t0 + (20 + 37 * kRounds) * (2 * kSlot) + Duration::micros(100));
+  r.ids_sent = sweep.ids_sent();
+  r.tx_ns = master.energy().tx_time.ns();
+  r.listen_ns = master.energy().listen_time.ns();
+  sweep.stop();
+  r.skipped = sim.obs().metrics.counter_value("kernel.skipped_slots");
+  return r;
+}
+
+TEST(FastForward, TrainSweepWakeRebuildsTheExactSlotState) {
+  const SweepProbeResult ex = sweep_probe_trial(/*exact=*/true);
+  const SweepProbeResult ff = sweep_probe_trial(/*exact=*/false);
+  // Every round's in-flight IDs land in exactly one response pair.
+  EXPECT_EQ(ex.responses.size(), 64u);
+  EXPECT_EQ(ex.responses, ff.responses);
+  EXPECT_FALSE(ex.heard.empty());
+  EXPECT_EQ(ex.heard, ff.heard);
+  EXPECT_EQ(ex.ids_sent, ff.ids_sent);
+  EXPECT_EQ(ex.tx_ns, ff.tx_ns);
+  EXPECT_EQ(ex.listen_ns, ff.listen_ns);
+  EXPECT_EQ(ex.skipped, 0u);
+  EXPECT_GT(ff.skipped, 1000u);
 }
 
 // ---- supervised piconet equivalence -------------------------------------
