@@ -100,10 +100,12 @@ struct ChannelConfig {
   /// every listen on the channel (the equivalence test does).
   bool spatial_grid = true;
   /// Listener count above which one channel migrates from its flat listener
-  /// list to the spatial grid (one-way). Most channels host a handful of
-  /// scanners, for which a linear scan is faster than grid-cell probes; a
-  /// hotspot channel (an auditorium of devices scanning the same hop) is
-  /// what the grid is for.
+  /// list to the spatial grid (one-way). An inquiry hop counts its own
+  /// listeners; a page namespace keeps one listener state for all its hops,
+  /// so its count spans them. Most channels host a handful of scanners, for
+  /// which a linear scan is faster than grid-cell probes; a hotspot channel
+  /// (an auditorium of devices scanning the same hop) is what the grid is
+  /// for.
   std::uint32_t grid_threshold = 48;
   /// Edge length of one grid cell, metres.
   double grid_cell_m = 16.0;

@@ -44,9 +44,9 @@ class Inquirer {
     std::uint64_t unique_responses = 0; // distinct addresses this session
     std::uint64_t train_switches = 0;
   };
-  /// Mode-invariant: while parked, the IDs the exact path would have sent
-  /// by now are credited lazily, so a mid-park reader sees the same counts
-  /// in both modes.
+  /// Mode-invariant: while parked, the IDs and train switches the exact
+  /// path would have made by now are counted lazily, so a mid-park reader
+  /// sees the same counts in both modes.
   const Stats& stats() const {
     stats_.ids_sent = sweep_.ids_sent();
     stats_.train_switches = sweep_.train_switches();

@@ -45,22 +45,40 @@ std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
 
 RadioChannel::ChannelState& RadioChannel::channel_state(RfChannel ch) {
   BIPS_ASSERT(ch.index < kChannelIndexSpan);
-  if (ch.ns == 0) {
-    std::unique_ptr<ChannelState>& slot = inquiry_ch_[ch.index];
-    if (!slot) {
-      slot = std::make_unique<ChannelState>();
-      slot->recent = &inquiry_recent_[ch.index];
-    }
-    return *slot;
-  }
-  std::unique_ptr<NsChannels>& block = page_ns_[ch.ns];
-  if (!block) block = std::make_unique<NsChannels>();
-  std::unique_ptr<ChannelState>& slot = block->ch[ch.index];
-  if (!slot) {
-    slot = std::make_unique<ChannelState>();
-    slot->recent = &block->recent;
-  }
+  if (ch.ns != 0) return page_block(ch.ns).ch;
+  std::unique_ptr<ChannelState>& slot = inquiry_ch_[ch.index];
+  if (!slot) slot = std::make_unique<ChannelState>();
   return *slot;
+}
+
+RadioChannel::PageNs& RadioChannel::page_block(std::uint32_t ns) {
+  std::unique_ptr<PageNs>& block = page_ns_[ns];
+  if (!block) block = std::make_unique<PageNs>();
+  return *block;
+}
+
+void RadioChannel::release_if_idle(std::uint32_t ns) {
+  if (in_delivery_) {
+    deferred_release_.push_back(ns);
+    return;
+  }
+  std::unique_ptr<PageNs>* block = page_ns_.find(ns);
+  if (block == nullptr || *block == nullptr) return;
+  const PageNs& b = **block;
+  if (b.ch.listens != 0 || b.in_flight != 0 || !b.occ.subs.empty()) return;
+  // With no listen left, the only trigger points are holds; expired ones
+  // count for nothing (occupied() would erase them).
+  const SimTime now = sim_.now();
+  for (const TriggerPoint& p : b.occ.points) {
+    if (p.until > now) return;
+  }
+  block->reset();
+}
+
+void RadioChannel::land(PageNs& block, std::uint32_t ns) {
+  if (--block.in_flight != 0) return;
+  block.recent.reset();
+  release_if_idle(ns);
 }
 
 std::uint64_t RadioChannel::grid_cell(Vec2 pos) const {
@@ -72,12 +90,24 @@ std::uint64_t RadioChannel::grid_cell(Vec2 pos) const {
 void RadioChannel::transmit(RadioDevice* sender, RfChannel ch, Packet p) {
   BIPS_ASSERT(sender != nullptr);
   BIPS_ASSERT(p.duration() <= kMaxPacketAir);
+  BIPS_ASSERT(ch.index < kChannelIndexSpan);
   note_range(sender);
   const SimTime start = sim_.now();
   const SimTime end = start + p.duration();
-  ChannelState& cs = channel_state(ch);
-  TxQueue& q = cfg_.cross_set_interference > 0 ? global_recent_ : *cs.recent;
-  q.push_back(Transmission{sender, ch, start, end, p});
+  ChannelState* cs;
+  TxQueue* q;
+  PageNs* block = nullptr;
+  if (ch.ns == 0) {
+    cs = &channel_state(ch);
+    q = &inquiry_recent_[ch.index];
+  } else {
+    block = &page_block(ch.ns);
+    if (block->in_flight++ == 0) block->recent = std::make_unique<TxQueue>();
+    cs = &block->ch;
+    q = block->recent.get();
+  }
+  if (cfg_.cross_set_interference > 0) q = &global_recent_;
+  q->push_back(Transmission{sender, ch, start, end, p});
   c_transmissions_->inc();
   sender->account_tx(p.duration());
   // Deque references are stable under push_back and pop_front, so the
@@ -85,9 +115,13 @@ void RadioChannel::transmit(RadioDevice* sender, RfChannel ch, Packet p) {
   // packet copy into the closure and no map probe at delivery time. The
   // element cannot be pruned before its own delivery, not even by a
   // delivery on another hop sharing the queue: the horizon trails `now` by
-  // several slots.
-  const Transmission* t = &q.back();
-  sim_.schedule_at(end, [this, csp = &cs, t] { deliver(*csp, *t); });
+  // several slots. A page block and its queue stay at least until the
+  // delivery has run: the transmission counts as in flight until land().
+  const Transmission* t = &q->back();
+  sim_.schedule_at(end, [this, cs, q, block, t] {
+    deliver(*cs, *q, *t);
+    if (block != nullptr) land(*block, t->ch.ns);
+  });
 }
 
 ListenId RadioChannel::start_listen(RadioDevice* d, RfChannel ch,
@@ -122,7 +156,7 @@ ListenId RadioChannel::start_listen_backdated(RadioDevice* d, RfChannel ch,
   l.ns = ch.ns;
   l.kind = kind;
 
-  const CellEntry entry{id, next_listen_seq_++, d, l.since};
+  const CellEntry entry{id, next_listen_seq_++, d, l.since, ch.index};
   // Flat mode never reads the cell, so the position lookup is skipped --
   // the dominant case for the short-lived response listens that churn at
   // tens of thousands per simulated second.
@@ -210,6 +244,7 @@ void RadioChannel::stop_listen(ListenId id) {
     l.handler = nullptr;
     lfree_.push_back(slot);
   }
+  if (l.ns != 0 && cs.listens == 0) release_if_idle(l.ns);
 }
 
 void RadioChannel::stop_all_listens(RadioDevice* d) {
@@ -217,10 +252,13 @@ void RadioChannel::stop_all_listens(RadioDevice* d) {
 }
 
 RadioChannel::Occupancy& RadioChannel::occupancy(std::uint32_t ns) {
-  if (ns == 0) return inquiry_occ_;
-  std::unique_ptr<Occupancy>& block = page_occ_[ns];
-  if (!block) block = std::make_unique<Occupancy>();
-  return *block;
+  return ns == 0 ? inquiry_occ_ : page_block(ns).occ;
+}
+
+RadioChannel::Occupancy* RadioChannel::find_occupancy(std::uint32_t ns) {
+  if (ns == 0) return &inquiry_occ_;
+  std::unique_ptr<PageNs>* block = page_ns_.find(ns);
+  return block != nullptr && *block != nullptr ? &(*block)->occ : nullptr;
 }
 
 void RadioChannel::add_trigger(std::uint32_t ns, Vec2 pos, SimTime until,
@@ -277,20 +315,23 @@ void RadioChannel::occupancy_hold(RfChannel ch, Vec2 pos, SimTime until) {
 }
 
 bool RadioChannel::occupied(std::uint32_t ns, Vec2 pos) {
-  Occupancy& o = occupancy(ns);
+  Occupancy* o = find_occupancy(ns);
+  if (o == nullptr) return false;
   const SimTime now = sim_.now();
   const double r = ff_radius();
   bool hit = false;
-  for (std::size_t i = 0; i < o.points.size();) {
+  for (std::size_t i = 0; i < o->points.size();) {
     // Holds expire lazily; `until` is exclusive (a transmission starting
     // exactly when the held response flight ends cannot overlap it).
-    if (o.points[i].until <= now) {
-      erase_trigger(o.points, i);
+    if (o->points[i].until <= now) {
+      erase_trigger(o->points, i);
       continue;
     }
-    if (distance_sq(o.points[i].pos, pos) <= r * r) hit = true;
+    if (distance_sq(o->points[i].pos, pos) <= r * r) hit = true;
     ++i;
   }
+  // Expiry is the one way a block goes idle without a call that checks.
+  if (ns != 0 && o->points.empty()) release_if_idle(ns);
   return hit;
 }
 
@@ -305,8 +346,9 @@ OccupancySubId RadioChannel::subscribe_occupancy(std::uint32_t ns, Vec2 pos,
   if (sub_order_.size() > 64 && sub_order_.size() > 4 * live_subs_) {
     std::size_t keep = 0;
     for (const auto& [sns, sid] : sub_order_) {
-      const auto& subs = occupancy(sns).subs;
-      for (const OccSubscriber& s : subs) {
+      const Occupancy* o = find_occupancy(sns);
+      if (o == nullptr) continue;
+      for (const OccSubscriber& s : o->subs) {
         if (s.id == sid) {
           sub_order_[keep++] = {sns, sid};
           break;
@@ -319,11 +361,14 @@ OccupancySubId RadioChannel::subscribe_occupancy(std::uint32_t ns, Vec2 pos,
 }
 
 void RadioChannel::unsubscribe_occupancy(std::uint32_t ns, OccupancySubId id) {
-  std::vector<OccSubscriber>& subs = occupancy(ns).subs;
+  Occupancy* o = find_occupancy(ns);
+  if (o == nullptr) return;
+  std::vector<OccSubscriber>& subs = o->subs;
   for (std::size_t i = 0; i < subs.size(); ++i) {
     if (subs[i].id == id) {
       subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(i));
       --live_subs_;
+      if (ns != 0) release_if_idle(ns);
       return;
     }
   }
@@ -339,7 +384,9 @@ void RadioChannel::note_range(const RadioDevice* d) {
   max_range_hw_ = r;
   fired_cbs_.clear();
   for (const auto& [sns, sid] : sub_order_) {
-    std::vector<OccSubscriber>& subs = occupancy(sns).subs;
+    Occupancy* o = find_occupancy(sns);
+    if (o == nullptr) continue;
+    std::vector<OccSubscriber>& subs = o->subs;
     for (std::size_t i = 0; i < subs.size(); ++i) {
       if (subs[i].id == sid) {
         fired_cbs_.push_back(std::move(subs[i].cb));
@@ -395,7 +442,7 @@ void RadioChannel::gather_candidates(const ChannelState& cs,
   const double range_sq = range * range;
   std::uint64_t out_of_range = 0;
   const auto consider = [&](const CellEntry& e) {
-    if (e.device == tx.sender) return;
+    if (e.hop != tx.ch.index || e.device == tx.sender) return;
     if (e.since > tx.start) return;  // tuned in mid-packet: missed it
     if (distance_sq(e.device->position(), from) > range_sq) {
       ++out_of_range;
@@ -438,11 +485,11 @@ void RadioChannel::gather_candidates(const ChannelState& cs,
   std::sort(candidates_.begin(), candidates_.end());
 }
 
-void RadioChannel::deliver(ChannelState& cs, const Transmission& tx) {
-  TxQueue& q = cfg_.cross_set_interference > 0 ? global_recent_ : *cs.recent;
+void RadioChannel::deliver(ChannelState& cs, TxQueue& q,
+                           const Transmission& tx) {
   prune(q, sim_.now());  // cannot evict `tx` itself: tx.end == now
-  // O(1) early-out: no listen anywhere on this channel (the common case for
-  // inquiry/page IDs swept across 32 hops).
+  // O(1) early-out: no listen anywhere on this inquiry hop or page
+  // namespace (the common case for IDs swept across 32 hops).
   if (cs.listens == 0) return;
 
   // Snapshot matching listeners first: on_packet may start/stop listens.
@@ -543,6 +590,8 @@ void RadioChannel::deliver(ChannelState& cs, const Transmission& tx) {
     lfree_.push_back(slot);
   }
   deferred_free_.clear();
+  for (const std::uint32_t ns : deferred_release_) release_if_idle(ns);
+  deferred_release_.clear();
 }
 
 }  // namespace bips::baseband

@@ -14,18 +14,24 @@
 // FHS at the master -- the effect that caps first-cycle discovery in
 // Figure 2.
 //
-// Scaling architecture (building-sized runs): every RF channel ever used is
-// interned once into a ChannelState that owns that channel's listener index
-// and a pointer to its transmission queue, so the hot paths cost one hash
-// probe (transmit, start_listen) or none at all (stop_listen and delivery
-// follow pointers carried by the listen slot / delivery closure). Listen state
-// lives in a generation-tagged arena (ListenId = slot + generation, so a
-// stale stop_listen is a true no-op), and each device carries its own
-// listen list for O(its listens) teardown. A listen slot records where its
-// entries sit -- in its channel's flat or cell vector, in its device's
-// listen list and in its namespace's trigger points -- so stop_listen
-// removes each by swap-and-pop at that index, re-pointing the entry that
-// moves in, and never searches. A channel's listeners start as
+// Scaling architecture (building-sized runs): listeners are indexed in a
+// ChannelState -- one per inquiry hop, kept for the run, and one per page
+// namespace spanning its 32 hops, each entry recording its hop -- so the hot
+// paths cost one hash probe (transmit, start_listen) or none at all
+// (stop_listen and delivery follow pointers carried by the listen slot /
+// delivery closure). A page namespace's state (listeners, occupancy, its
+// transmission queue) lives in one block that exists only while used: the
+// queue from the first transmission until the last pending delivery has
+// run, the block until it has no listen, no transmission in flight, no
+// occupancy subscription and no unexpired hold. Memory so follows the
+// handhelds being paged or scanning now, not every address ever seen.
+// Listen state lives in a generation-tagged arena (ListenId = slot +
+// generation, so a stale stop_listen is a true no-op), and each device
+// carries its own listen list for O(its listens) teardown. A listen slot
+// records where its entries sit -- in its channel's flat or cell vector, in
+// its device's listen list and in its namespace's trigger points -- so
+// stop_listen removes each by swap-and-pop at that index, re-pointing the
+// entry that moves in, and never searches. A channel's listeners start as
 // one flat vector -- a handful of scanners, scanned linearly -- and migrate
 // one-way onto a coarse spatial grid over listener positions when the
 // channel grows past ChannelConfig::grid_threshold. In-flight transmissions
@@ -33,15 +39,15 @@
 // namespace), so the collision-overlap check scans a bounded window instead
 // of every recent transmission in the building.
 // A delivery first applies the exact range test to every listener entry
-// it visits (the whole flat list, or the grid cells near the sender), with
-// positions read at the delivery instant, and counts the misses in
-// radio.out_of_range. Only the listeners in range are then ordered by
-// (registration time, address, registration seq) and visited in that
-// order, which makes delivery deterministic and independent of both
-// hash-map iteration order and the flat/grid mode split; per-reception
-// randomness is drawn from hash-derived streams keyed by (transmission,
-// receiver), never from the shared generator, so one reception can never
-// shift another's draws.
+// on the packet's hop it visits (the whole flat list, or the grid cells
+// near the sender), with positions read at the delivery instant, and
+// counts the misses in radio.out_of_range. Only the listeners in range are
+// then ordered by (registration time, address, registration seq) and
+// visited in that order, which makes delivery deterministic and
+// independent of both hash-map iteration order and the flat/grid mode
+// split; per-reception randomness is drawn from hash-derived streams keyed
+// by (transmission, receiver), never from the shared generator, so one
+// reception can never shift another's draws.
 //
 // The channel also maintains the occupancy index behind the virtual-slot
 // fast-forward (DESIGN.md section 5c): per hop-set namespace it tracks the
@@ -233,6 +239,14 @@ class RadioChannel {
   std::size_t listen_count(const RadioDevice* d) const {
     return d->active_listens_.size();
   }
+  /// Number of page-namespace blocks currently alive (test hook).
+  std::size_t page_block_count() const {
+    std::size_t n = 0;
+    page_ns_.for_each([&n](std::uint64_t, const std::unique_ptr<PageNs>& b) {
+      n += b != nullptr ? 1 : 0;
+    });
+    return n;
+  }
 
   /// Received signal strength at distance d: a log-distance path-loss model
   /// (class-2 TX power 0 dBm, exponent 2.5) plus Gaussian shadowing. The
@@ -264,6 +278,7 @@ class RadioChannel {
     std::uint64_t seq;  // registration order, monotone across all listens
     RadioDevice* device;
     SimTime since;
+    std::uint32_t hop;  // RfChannel::index; a page state spans 32 hops
   };
   // Transmissions overlapping the recent past on one inquiry channel or one
   // page namespace, in start-time order (simulation time is monotone, so
@@ -273,14 +288,15 @@ class RadioChannel {
   // plain Transmission* instead of copying the packet into the closure.
   using TxQueue = std::deque<Transmission>;
 
-  // Everything the channel knows about one RF channel, interned on first
-  // use and kept for the rest of the run (scanners revisit the same
-  // channels every window; erase/insert churn would cost an allocation
-  // each way). Page namespaces make these numerous -- every handheld's
-  // page scan walks its own 32 hops -- so an interned state holds no heap
-  // until used: the grid table is built on migration, and a page hop has
-  // no queue of its own. Held by unique_ptr (as is each NsChannels block),
-  // so listen slots and delivery events can keep its address for the run.
+  // The listeners of one inquiry hop, or of all 32 hops of one page
+  // namespace (see PageNs). An inquiry hop's state is built on first use and
+  // kept for the run: every inquiring master sweeps all 32 hops and every
+  // handheld's inquiry scan revisits them each window. A page namespace
+  // holds a few listeners at a time on any of its hops, so one state serves
+  // them all and delivery skips other hops' entries before the range test.
+  // Holds no heap until used: the grid table is built on migration. Its
+  // address is stable (held by unique_ptr or inside a PageNs block), so
+  // listen slots and delivery events can keep it while they are live.
   struct ChannelState {
     // Flat listener list (pre-migration). A channel serving one building
     // wing has a handful of listeners: a linear scan beats grid probes.
@@ -290,9 +306,6 @@ class RadioChannel {
     // that cell. Emptied vectors are kept, which is exactly the erase-free
     // discipline FlatHashMap requires.
     FlatHashMap<std::vector<CellEntry>> cells;
-    // The queue this channel's transmissions join: its own on an inquiry
-    // hop, its namespace's shared one on a page hop (see NsChannels).
-    TxQueue* recent = nullptr;
     std::uint32_t listens = 0;  // across flat + cells
     // One-way flag: flips when `listens` first exceeds grid_threshold (and
     // the config enables the grid). Crowded channels stay grid-indexed.
@@ -340,23 +353,39 @@ class RadioChannel {
     std::vector<OccSubscriber> subs;
   };
 
-  // One page namespace: a paged address's 32 hop channels, direct-indexed,
-  // and the one transmission queue they share. A namespace carries only the
-  // page trains aimed at one handheld and that handheld's replies, so the
-  // shared queue stays short, and with cross_set_interference == 0 the
-  // overlap scan in deliver() skips other hops' entries: sharing changes no
-  // outcome. page_ns_ holds one block per distinct paged address, so it
-  // grows with the population.
-  struct NsChannels {
-    std::unique_ptr<ChannelState> ch[kChannelIndexSpan];
-    TxQueue recent;
+  // One page namespace (a paged address's 32 hops): its listeners, its
+  // occupancy and the transmission queue its hops share. A namespace carries
+  // only the page trains aimed at one handheld and that handheld's replies,
+  // so the shared queue stays short, and with cross_set_interference == 0
+  // the overlap scan in deliver() skips other hops' entries: sharing changes
+  // no outcome. The block lives only while used (see release_if_idle), so
+  // page_ns_ holds a block per handheld being paged or page-scanning now and
+  // a null pointer under every other address it has seen.
+  struct PageNs {
+    ChannelState ch;
+    Occupancy occ;
+    // Built at the first transmission and freed when the last pending
+    // delivery has run: everything left in it ended by then, so none of it
+    // can overlap a later packet. Non-null exactly while in_flight > 0.
+    std::unique_ptr<TxQueue> recent;
+    std::uint32_t in_flight = 0;  // transmissions not yet delivered
   };
 
+  /// The listener state of `ch`, built (with its page block) on first use.
   ChannelState& channel_state(RfChannel ch);
+  PageNs& page_block(std::uint32_t ns);
+  /// Frees the block of page namespace `ns` if nothing keeps it alive: no
+  /// listen, no transmission in flight, no occupancy subscription and no
+  /// unexpired hold. During a delivery the check waits until it ends.
+  void release_if_idle(std::uint32_t ns);
+  /// A page transmission's delivery has run: frees the namespace's queue
+  /// once nothing is in flight, then the block if it is idle.
+  void land(PageNs& block, std::uint32_t ns);
   void migrate_to_grid(ChannelState& cs);
-  void deliver(ChannelState& cs, const Transmission& tx);
-  /// Fills candidates_ with the listeners in range of `tx`, sent from
-  /// `from`, in delivery order; counts the rest in radio.out_of_range.
+  void deliver(ChannelState& cs, TxQueue& q, const Transmission& tx);
+  /// Fills candidates_ with the listeners on tx's hop in range of `tx`,
+  /// sent from `from`, in delivery order; counts the rest of that hop's
+  /// visited listeners in radio.out_of_range.
   void gather_candidates(const ChannelState& cs, const Transmission& tx,
                          Vec2 from);
   void prune(TxQueue& q, SimTime now);
@@ -365,7 +394,11 @@ class RadioChannel {
   std::uint64_t grid_cell(Vec2 pos) const;
 
   double rssi_dbm(double distance_m, Rng& rng) const;
+  /// The occupancy block of `ns`, built on first use.
   Occupancy& occupancy(std::uint32_t ns);
+  /// The occupancy block of `ns`, or nullptr if its page block is not
+  /// live; never builds one.
+  Occupancy* find_occupancy(std::uint32_t ns);
   /// Registers a trigger point and fires satisfied subscriptions in `ns`.
   void add_trigger(std::uint32_t ns, Vec2 pos, SimTime until, ListenId id);
   void remove_trigger(std::uint32_t ns, ListenId id);
@@ -395,24 +428,22 @@ class RadioChannel {
   std::vector<ListenSlot> lslots_;
   std::vector<std::uint32_t> lfree_;
   std::uint64_t next_listen_seq_ = 1;
-  // Channel intern table, two-level: the inquiry namespace is a direct
-  // member (no hashing for the bulk of the traffic), page namespaces map
-  // through ns -> channel block. Every inquiring master sweeps all 32
-  // inquiry hops, so each keeps its own queue and its overlap scan reads
-  // only its own traffic.
+  // Channel table, two-level: the inquiry namespace is a direct member (no
+  // hashing for the bulk of the traffic), page namespaces map through
+  // ns -> block (null while the namespace is idle; FlatHashMap has no
+  // erase). Every inquiring master sweeps all 32 inquiry hops, so each hop
+  // keeps its own queue and its overlap scan reads only its own traffic.
   std::unique_ptr<ChannelState> inquiry_ch_[kChannelIndexSpan];
   TxQueue inquiry_recent_[kChannelIndexSpan];
-  FlatHashMap<std::unique_ptr<NsChannels>> page_ns_;
+  FlatHashMap<std::unique_ptr<PageNs>> page_ns_;
   // Transmission bucket used when cross-set interference is enabled: every
   // transmission lands in one global queue (in start-time order, exactly
   // the old flat recent_ list), so the probabilistic cross-channel clash
   // check sees other hop sets *and* draws its random numbers in the same
   // order as the pre-bucketing implementation.
   TxQueue global_recent_;
-  // Occupancy blocks: inquiry namespace direct, page namespaces interned
-  // (mirrors the channel table's two-level layout).
+  // The inquiry namespace's occupancy; a page namespace's is in its block.
   Occupancy inquiry_occ_;
-  FlatHashMap<std::unique_ptr<Occupancy>> page_occ_;
   std::uint64_t next_sub_id_ = 1;
   // Pending subscriptions across every occupancy block, kept as a count so
   // the sub_order_ compaction test costs O(1) however many page namespaces
@@ -460,6 +491,8 @@ class RadioChannel {
   // mid-delivery.
   bool in_delivery_ = false;
   std::vector<std::uint32_t> deferred_free_;
+  // Page namespaces whose release check fell inside a delivery.
+  std::vector<std::uint32_t> deferred_release_;
 };
 
 }  // namespace bips::baseband

@@ -202,6 +202,14 @@ void TrainSweep::sync_park() const {
          2 * kResponseListenSpan * static_cast<std::int64_t>(closed));
 }
 
+std::uint64_t TrainSweep::train_switches() const {
+  if (!switch_trains_ || !vclock_.parked()) return train_switches_;
+  // The crossings advance() will add for the slots elided before now.
+  return train_switches_ +
+         (train_slot_ + vclock_.elided_before(dev_.sim().now())) /
+             slots_per_train_;
+}
+
 void TrainSweep::end_park(SimTime now, SimTime parked_at, std::uint64_t n,
                           std::uint64_t ids, Duration listen) {
   credit(ids, listen);

@@ -23,9 +23,9 @@
 // response-listen pairs still open as backdated listens, and replays the
 // last skipped slot's second ID if its half-slot is still in the future. A
 // park that ends without a wake (stop, pause) credits what the exact path
-// would have drummed before it; a mid-park ids_sent() read credits it
-// lazily. DESIGN.md section 5c derives why this is byte-equivalent to
-// drumming every slot.
+// would have drummed before it; a mid-park ids_sent() or train_switches()
+// read counts it lazily. DESIGN.md section 5c derives why this is
+// byte-equivalent to drumming every slot.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +66,10 @@ class TrainSweep {
     sync_park();
     return ids_sent_;
   }
-  /// Train switches over the sweep's life; a park's land when it ends.
-  std::uint64_t train_switches() const { return train_switches_; }
+  /// Train switches over the sweep's life. Mode-invariant like ids_sent():
+  /// while parked, the switches of the slots the exact path would have
+  /// drummed by now are counted lazily.
+  std::uint64_t train_switches() const;
 
  private:
   void tx_slot();

@@ -1,5 +1,7 @@
 #include "src/mobility/building.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/util/assert.hpp"
@@ -11,7 +13,54 @@ RoomId Building::add_room(std::string name, Vec2 center) {
   BIPS_ASSERT_MSG(!find(name).has_value(), "duplicate room name");
   const auto id = static_cast<RoomId>(rooms_.size());
   rooms_.push_back(Room{id, std::move(name), center});
+  index_ = std::make_shared<LazyIndex>();
   return id;
+}
+
+std::int32_t Building::RoomIndex::col(double x) const {
+  const double c = std::floor((x - origin.x) / cell);
+  return static_cast<std::int32_t>(std::clamp(c, 0.0, nx - 1.0));
+}
+
+std::int32_t Building::RoomIndex::row(double y) const {
+  const double r = std::floor((y - origin.y) / cell);
+  return static_cast<std::int32_t>(std::clamp(r, 0.0, ny - 1.0));
+}
+
+Building::RoomIndex::RoomIndex(const std::vector<Room>& rooms) {
+  Vec2 lo = rooms.front().center, hi = lo;
+  for (const Room& r : rooms) {
+    lo = {std::min(lo.x, r.center.x), std::min(lo.y, r.center.y)};
+    hi = {std::max(hi.x, r.center.x), std::max(hi.y, r.center.y)};
+  }
+  // About one room per cell: n square cells over the box, or n cells along
+  // its long side when the box is flat (a corridor), so there are at most
+  // about 3n cells.
+  const double w = hi.x - lo.x, h = hi.y - lo.y;
+  const auto n = static_cast<double>(rooms.size());
+  cell = std::max(std::sqrt(w * h / n), std::max(w, h) / n);
+  if (!(cell > 0)) cell = 1.0;  // every room at one point
+  origin = lo;
+  nx = static_cast<std::int32_t>(w / cell) + 1;
+  ny = static_cast<std::int32_t>(h / cell) + 1;
+  const auto cells = static_cast<std::size_t>(nx) * ny;
+  // Counting sort by cell; visiting rooms in id order keeps each cell's
+  // list ascending.
+  start.assign(cells + 1, 0);
+  const auto cell_of = [this](Vec2 c) {
+    return static_cast<std::size_t>(row(c.y)) * nx + col(c.x);
+  };
+  for (const Room& r : rooms) ++start[cell_of(r.center) + 1];
+  for (std::size_t i = 0; i < cells; ++i) start[i + 1] += start[i];
+  ids.resize(rooms.size());
+  std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+  for (const Room& r : rooms) ids[fill[cell_of(r.center)]++] = r.id;
+}
+
+const Building::RoomIndex& Building::index() const {
+  LazyIndex& lazy = *index_;
+  std::call_once(lazy.built, [&] { lazy.index.emplace(rooms_); });
+  return *lazy.index;
 }
 
 void Building::connect(RoomId a, RoomId b) {
@@ -46,16 +95,61 @@ graph::Graph Building::to_graph() const {
 }
 
 RoomId Building::nearest_room(Vec2 p) const {
+  if (rooms_.empty()) return kNoRoom;
+  const RoomIndex& g = index();
   RoomId best = kNoRoom;
   double best_d = std::numeric_limits<double>::infinity();
-  for (const Room& r : rooms_) {
-    const double d = distance_sq(p, r.center);
-    if (d < best_d) {
-      best_d = d;
-      best = r.id;
+  const auto visit = [&](std::int32_t i, std::int32_t j) {
+    const std::size_t c = static_cast<std::size_t>(j) * g.nx + i;
+    for (std::uint32_t k = g.start[c]; k < g.start[c + 1]; ++k) {
+      const RoomId id = g.ids[k];
+      const double d = distance_sq(p, rooms_[id].center);
+      if (d < best_d || (d == best_d && id < best)) {
+        best_d = d;
+        best = id;
+      }
     }
+  };
+  // Distance from p to column i's / row j's strip of the grid, less a
+  // rounding allowance (a centre on a cell edge may be binned either side).
+  const double tol = 1e-9 * (std::abs(p.x) + std::abs(p.y) +
+                             std::abs(g.origin.x) + std::abs(g.origin.y) +
+                             (g.nx + g.ny) * g.cell);
+  const auto gap = [&](double v, double lo, std::int32_t i) {
+    const double a = lo + i * g.cell;
+    return std::max(0.0, std::max(a - v, v - (a + g.cell)) - tol);
+  };
+  const auto gap_x = [&](std::int32_t i) { return gap(p.x, g.origin.x, i); };
+  const auto gap_y = [&](std::int32_t j) { return gap(p.y, g.origin.y, j); };
+
+  // Rings of cells around p's (clamped) cell, nearest first. A cell's
+  // distance grows away from p's column and row, so every cell beyond ring
+  // r is at least as far as the nearest strip just outside it; stop once
+  // that exceeds the best distance found.
+  const std::int32_t cx = g.col(p.x), cy = g.row(p.y);
+  for (std::int32_t r = 0;; ++r) {
+    const std::int32_t x0 = cx - r, x1 = cx + r, y0 = cy - r, y1 = cy + r;
+    for (std::int32_t j = std::max(y0, 0); j <= std::min(y1, g.ny - 1); ++j) {
+      if (j == y0 || j == y1) {
+        for (std::int32_t i = std::max(x0, 0); i <= std::min(x1, g.nx - 1);
+             ++i) {
+          visit(i, j);
+        }
+      } else {
+        if (x0 >= 0) visit(x0, j);
+        if (x1 < g.nx) visit(x1, j);
+      }
+    }
+    double beyond = std::numeric_limits<double>::infinity();
+    const auto side = [&beyond](double a, double b) {
+      beyond = std::min(beyond, a * a + b * b);
+    };
+    if (x0 > 0) side(gap_x(x0 - 1), gap_y(cy));
+    if (x1 < g.nx - 1) side(gap_x(x1 + 1), gap_y(cy));
+    if (y0 > 0) side(gap_y(y0 - 1), gap_x(cx));
+    if (y1 < g.ny - 1) side(gap_y(y1 + 1), gap_x(cx));
+    if (beyond > best_d) return best;  // also when no cell is left
   }
-  return best;
 }
 
 RoomId Building::nearest_room_within(Vec2 p, double radius) const {

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,6 +56,10 @@ class Building {
   graph::Graph to_graph() const;
 
   /// Room whose workstation is nearest to p; kNoRoom for an empty building.
+  /// Of equidistant rooms, the lowest RoomId. Answered from a uniform grid
+  /// over the room centres, built once at the first call after the last
+  /// add_room (safe from concurrent callers), so a call visits the rooms
+  /// near p, not all.
   RoomId nearest_room(Vec2 p) const;
   /// Nearest room within `radius` metres of p (the piconet that would cover
   /// a device standing at p), or kNoRoom when outside all coverage circles.
@@ -70,8 +76,31 @@ class Building {
   static Building department();
 
  private:
+  // Uniform grid over the room centres' bounding box, about one room per
+  // cell; each cell lists its rooms in ascending RoomId order (CSR layout).
+  struct RoomIndex {
+    explicit RoomIndex(const std::vector<Room>& rooms);
+    std::int32_t col(double x) const;
+    std::int32_t row(double y) const;
+
+    Vec2 origin;
+    double cell = 1.0;
+    std::int32_t nx = 0, ny = 0;
+    std::vector<std::uint32_t> start;  // nx * ny + 1 offsets into `ids`
+    std::vector<RoomId> ids;
+  };
+  // The index of the current room set, built by the first query. Shards
+  // query one building from several threads, hence call_once; add_room
+  // starts a fresh one, and copies of a building share it.
+  struct LazyIndex {
+    std::once_flag built;
+    std::optional<RoomIndex> index;
+  };
+  const RoomIndex& index() const;
+
   std::vector<Room> rooms_;
   std::vector<Corridor> corridors_;
+  std::shared_ptr<LazyIndex> index_ = std::make_shared<LazyIndex>();
 };
 
 }  // namespace bips::mobility

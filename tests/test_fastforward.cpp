@@ -342,6 +342,96 @@ TEST(FastForward, ParkedInquirerCreditsStatsLazily) {
   EXPECT_GT(sim.obs().metrics.counter_value("kernel.skipped_slots"), 0u);
 }
 
+// Both lazy counters of a lone sweep, read mid-park at instants on the TX
+// slot grid, on the second ID's half-slot and off the lattice. Every reader
+// is scheduled before the sweep starts, so at a shared instant it runs
+// before that instant's slot or second ID, in both modes.
+struct CounterReads {
+  std::vector<std::uint64_t> ids, switches;
+  std::uint64_t skipped = 0;
+};
+// TX slots read at (8j + 7 ends a train of one repetition).
+constexpr std::uint64_t kReadSlots[] = {0, 1, 7, 8, 15, 16, 23, 400, 807};
+
+CounterReads lone_sweep_reads(bool exact) {
+  ChannelConfig ch;
+  ch.exact_slots = exact;
+  sim::Simulator sim;
+  Rng rng(3);
+  RadioChannel radio(sim, rng, ch);
+  Device master(sim, radio, BdAddr(0xA1), rng.fork());
+  // One repetition per train: a train is 8 TX slots, 10 ms.
+  TrainSweep sweep(master, /*train_repetitions=*/1, /*switch_trains=*/true,
+                   [](const Packet&, RfChannel, SimTime) {});
+  Packet id;
+  id.type = PacketType::kId;
+  id.sender = master.addr();
+  const SimTime t0 = master.clock().next_even_slot(SimTime(0));
+  CounterReads r;
+  for (const std::uint64_t k : kReadSlots) {
+    for (const Duration off :
+         {Duration(0), kHalfSlot, Duration::micros(100),
+          Duration::micros(700)}) {
+      sim.schedule_at(t0 + k * (2 * kSlot) + off, [&] {
+        r.ids.push_back(sweep.ids_sent());
+        r.switches.push_back(sweep.train_switches());
+      });
+    }
+  }
+  sweep.start(0, 0, id, t0);
+  sim.run_until(t0 + 900 * (2 * kSlot));
+  sweep.stop();
+  r.skipped = sim.obs().metrics.counter_value("kernel.skipped_slots");
+  return r;
+}
+
+TEST(FastForward, MidParkCountersMatchTheExactSweepOnAndOffTheSlotGrid) {
+  const CounterReads ex = lone_sweep_reads(/*exact=*/true);
+  const CounterReads ff = lone_sweep_reads(/*exact=*/false);
+  EXPECT_EQ(ex.ids, ff.ids);
+  EXPECT_EQ(ex.switches, ff.switches);
+  EXPECT_EQ(ex.skipped, 0u);
+  EXPECT_GT(ff.skipped, 800u);  // parked from the first slot on
+  // The exact sweep's counts by construction: a read at TX slot k's
+  // instant precedes it, and one on its half-slot or at +100 us precedes
+  // its second ID.
+  std::size_t i = 0;
+  for (const std::uint64_t k : kReadSlots) {
+    for (const int off : {0, 1, 2, 3}) {  // on grid, half-slot, 100, 700 us
+      const std::uint64_t slots_run = off == 0 ? k : k + 1;
+      const std::uint64_t second_pending = off == 1 || off == 2 ? 1 : 0;
+      ASSERT_LT(i, ex.ids.size());
+      EXPECT_EQ(ex.ids[i], 2 * slots_run - second_pending) << k << " " << off;
+      EXPECT_EQ(ex.switches[i], slots_run / 8) << k << " " << off;
+      ++i;
+    }
+  }
+}
+
+TEST(FastForward, LoneInquirerCountsTrainSwitchesAlikeInBothModes) {
+  // A 256-repetition train lasts 2.56 s, so by 6 s the sweep has switched
+  // trains twice; fast-forward counts them while still parked.
+  std::uint64_t switches[2] = {}, ids[2] = {};
+  for (const bool exact : {true, false}) {
+    ChannelConfig ch;
+    ch.exact_slots = exact;
+    sim::Simulator sim;
+    Rng rng(7);
+    RadioChannel radio(sim, rng, ch);
+    Device master(sim, radio, BdAddr(0xA1), rng.fork());
+    Inquirer inq(master, InquiryConfig{}, nullptr);
+    sim.schedule_at(SimTime(Duration::seconds(6).ns()), [&, exact] {
+      switches[exact] = inq.stats().train_switches;
+      ids[exact] = inq.stats().ids_sent;
+    });
+    inq.start();
+    sim.run_until(SimTime(Duration::seconds(7).ns()));
+  }
+  EXPECT_EQ(switches[1], 2u);
+  EXPECT_EQ(switches[0], switches[1]);
+  EXPECT_EQ(ids[0], ids[1]);
+}
+
 // ---- TrainSweep wake reconstruction, probed directly -------------------
 
 struct SweepProbeResult {

@@ -262,6 +262,236 @@ TEST_F(RadioTest, PageHopFhsSurvivesPrunesFromItsNamespacesOtherHops) {
   EXPECT_EQ(sim.obs().metrics.counter_value("radio.collisions"), 2u);
 }
 
+TEST_F(RadioTest, PageNamespaceHopsHearOnlyTheirOwnHopFlatAndGrid) {
+  // One page namespace's listeners share one state across its hops. Each
+  // hop holds three listeners in range, registered in an order that is
+  // neither their address order nor their delivery order, and two just past
+  // the 10 m rim (in cells the grid visits). A packet on one hop reaches
+  // only that hop's three, in (listen start, address, seq) order, and only
+  // that hop's two misses count as out of range.
+  struct Run {
+    std::vector<std::vector<std::uint64_t>> order;  // per transmission
+    std::vector<std::uint64_t> out_of_range;        // cumulative
+  };
+  const std::uint32_t hops[] = {2, 9, 30};
+  const auto run = [&hops](bool grid) {
+    sim::Simulator s;
+    Rng r{5};
+    ChannelConfig c;
+    if (grid) c.grid_threshold = 0;
+    RadioChannel ch(s, r, c);
+    Run out;
+    std::vector<std::uint64_t> heard;
+    std::vector<std::unique_ptr<TestDevice>> devs;
+    const auto listen = [&](std::uint32_t hop, std::uint64_t addr, Vec2 pos) {
+      devs.push_back(std::make_unique<TestDevice>(addr, pos));
+      ch.start_listen(devs.back().get(), RfChannel{21, hop},
+                      [&heard, addr](const Packet&, RfChannel, SimTime) {
+                        heard.push_back(addr);
+                      });
+    };
+    for (std::uint64_t h = 0; h < 3; ++h) {
+      const std::uint64_t base = 0x100 * (h + 1);
+      listen(hops[h], base + 0x30, {3, 0});
+      listen(hops[h], base + 0x90, {10.5, 0});  // out of range
+      listen(hops[h], base + 0x10, {0, -4});    // same instant, lower addr
+    }
+    s.schedule(Duration::micros(2), [&] {
+      for (std::uint64_t h = 0; h < 3; ++h) {
+        const std::uint64_t base = 0x100 * (h + 1);
+        listen(hops[h], base + 0x05, {-6, 6});  // later start, lowest addr
+        listen(hops[h], base + 0x95, {0, -10.5});  // out of range
+      }
+    });
+    TestDevice tx(0x999, {0, 0});
+    for (int k = 0; k < 3; ++k) {
+      s.schedule(Duration::micros(10 + 100 * k), [&, k] {
+        ch.transmit(&tx, RfChannel{21, hops[k]}, id_packet(0x999));
+      });
+      s.schedule(Duration::micros(90 + 100 * k), [&] {
+        out.order.push_back(heard);
+        heard.clear();
+        out.out_of_range.push_back(
+            s.obs().metrics.counter_value("radio.out_of_range"));
+      });
+    }
+    s.run();
+    return out;
+  };
+  for (const bool grid : {false, true}) {
+    const Run got = run(grid);
+    ASSERT_EQ(got.order.size(), 3u);
+    for (std::uint64_t h = 0; h < 3; ++h) {
+      const std::uint64_t base = 0x100 * (h + 1);
+      EXPECT_EQ(got.order[h], (std::vector<std::uint64_t>{
+                                  base + 0x10, base + 0x30, base + 0x05}))
+          << "grid " << grid << " hop " << hops[h];
+      EXPECT_EQ(got.out_of_range[h], 2 * (h + 1)) << "grid " << grid;
+    }
+  }
+}
+
+TEST_F(RadioTest, PageBlockLivesWhileAnythingUsesIt) {
+  // A page namespace's block is kept alive by each of a live listen, an
+  // in-flight transmission, a pending occupancy subscription and an
+  // unexpired hold alone, and released once the last of them goes.
+  RadioChannel ch(sim, rng, cfg);
+  const RfChannel hop{33, 4};
+  TestDevice tx(1), rx(2);
+  EXPECT_EQ(ch.page_block_count(), 0u);
+
+  // A listen alone.
+  ListenId l = ch.start_listen(&rx, hop, nullptr, ListenKind::kPassive);
+  EXPECT_EQ(ch.page_block_count(), 1u);
+  ch.stop_listen(l);
+  EXPECT_EQ(ch.page_block_count(), 0u);
+
+  // A transmission alone: it lives until its delivery has run.
+  ch.transmit(&tx, hop, id_packet(1));
+  EXPECT_EQ(ch.page_block_count(), 1u);
+  sim.run();
+  EXPECT_EQ(ch.page_block_count(), 0u);
+
+  // A subscription alone, cancelled; a cancel of a released block's
+  // subscription is a no-op that builds nothing.
+  OccupancySubId sub = ch.subscribe_occupancy(hop.ns, {0, 0}, [](SimTime) {});
+  EXPECT_EQ(ch.page_block_count(), 1u);
+  ch.unsubscribe_occupancy(hop.ns, sub);
+  EXPECT_EQ(ch.page_block_count(), 0u);
+  ch.unsubscribe_occupancy(hop.ns, sub);
+  EXPECT_FALSE(ch.occupied(hop.ns, {0, 0}));
+  EXPECT_EQ(ch.page_block_count(), 0u);
+
+  // A hold alone: alive until it expires; occupied() then releases it.
+  ch.occupancy_hold(hop, {0, 0}, sim.now() + Duration::micros(100));
+  EXPECT_EQ(ch.page_block_count(), 1u);
+  EXPECT_TRUE(ch.occupied(hop.ns, {0, 0}));
+  sim.run_until(sim.now() + Duration::micros(100));
+  EXPECT_FALSE(ch.occupied(hop.ns, {0, 0}));  // `until` is exclusive
+  EXPECT_EQ(ch.page_block_count(), 0u);
+
+  // All four at once, removed one at a time: the block stays until the last.
+  const SimTime t0 = sim.now();
+  l = ch.start_listen(&rx, hop);
+  sub = ch.subscribe_occupancy(hop.ns, {500, 0}, [](SimTime) {});  // far
+  ch.occupancy_hold(hop, {0, 0}, t0 + Duration::micros(300));
+  ch.transmit(&tx, hop, id_packet(1));  // lands at t0 + 68 us
+  ch.stop_listen(l);
+  EXPECT_EQ(ch.page_block_count(), 1u);  // flight, subscription, hold
+  ch.unsubscribe_occupancy(hop.ns, sub);
+  EXPECT_EQ(ch.page_block_count(), 1u);  // flight, hold
+  sim.run_until(t0 + Duration::micros(200));
+  EXPECT_EQ(ch.page_block_count(), 1u);  // the hold
+  EXPECT_TRUE(ch.occupied(hop.ns, {0, 0}));
+  sim.run_until(t0 + Duration::micros(300));
+  EXPECT_EQ(ch.page_block_count(), 1u);  // expired, but nothing checked yet
+  EXPECT_FALSE(ch.occupied(hop.ns, {0, 0}));
+  EXPECT_EQ(ch.page_block_count(), 0u);
+  EXPECT_TRUE(rx.received.empty());  // the listen stopped mid-packet
+
+  // Other namespaces keep their own blocks.
+  ch.start_listen(&rx, RfChannel{34, 4});
+  ch.start_listen(&rx, RfChannel{35, 4});
+  EXPECT_EQ(ch.page_block_count(), 2u);
+  ch.stop_all_listens(&rx);
+  EXPECT_EQ(ch.page_block_count(), 0u);
+}
+
+TEST_F(RadioTest, RebuiltPageBlockDeliversCollidesAndReportsOccupancy) {
+  RadioChannel ch(sim, rng, cfg);
+  const RfChannel hop{41, 7};
+  TestDevice tx1(1, {0, 0}), tx2(2, {4, 0}), rx(3, {2, 0}), rx2(4, {2, 1});
+  const Vec2 near{1, 0};
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    ASSERT_EQ(ch.page_block_count(), 0u);
+    EXPECT_FALSE(ch.occupied(hop.ns, near));
+    rx.received.clear();
+    rx2.received.clear();
+    const std::uint64_t collisions0 =
+        sim.obs().metrics.counter_value("radio.collisions");
+
+    // A clean delivery, then two overlapping packets that collide.
+    ListenId l = ch.start_listen(&rx, hop);
+    EXPECT_TRUE(ch.occupied(hop.ns, near));
+    ch.transmit(&tx1, hop, id_packet(1));
+    sim.run();
+    EXPECT_EQ(rx.received.size(), 1u);
+    ch.transmit(&tx1, hop, id_packet(1));
+    sim.schedule(Duration::micros(30), [&] {
+      ch.transmit(&tx2, hop, id_packet(2));
+    });
+    sim.run();
+    EXPECT_EQ(rx.received.size(), 1u);
+    EXPECT_EQ(sim.obs().metrics.counter_value("radio.collisions"),
+              collisions0 + 2);
+
+    // The namespace's last listen stops while a 366 us FHS is in flight:
+    // the block and its queue stay, so a packet that starts under the FHS
+    // still collides with it at a listener that tuned in after the FHS
+    // began (and so cannot receive the FHS itself).
+    Packet fhs = id_packet(1);
+    fhs.type = PacketType::kFhs;
+    ch.transmit(&tx1, hop, fhs);  // [now, now + 366 us)
+    sim.schedule(Duration::micros(20), [&] {
+      ch.stop_listen(l);
+      EXPECT_EQ(ch.page_block_count(), 1u);
+      EXPECT_FALSE(ch.occupied(hop.ns, near));
+    });
+    sim.schedule(Duration::micros(30), [&] {
+      l = ch.start_listen(&rx2, hop);
+    });
+    sim.schedule(Duration::micros(100), [&] {
+      ch.transmit(&tx2, hop, id_packet(2));  // overlaps the FHS
+    });
+    sim.run();
+    EXPECT_EQ(rx.received.size(), 1u);
+    EXPECT_TRUE(rx2.received.empty());
+    EXPECT_EQ(sim.obs().metrics.counter_value("radio.collisions"),
+              collisions0 + 3);
+
+    // Once the last pending delivery has run, nothing queued can overlap a
+    // later packet: after the listen stops the block goes, and a packet
+    // sent to the rebuilt one is clean.
+    ch.stop_listen(l);
+    EXPECT_EQ(ch.page_block_count(), 0u);
+    l = ch.start_listen(&rx2, hop);
+    ch.transmit(&tx2, hop, id_packet(2));
+    sim.run();
+    EXPECT_EQ(rx2.received.size(), 1u);
+    ch.stop_listen(l);
+  }
+}
+
+TEST_F(RadioTest, ReleaseChecksInsideADeliveryWaitForItsEnd) {
+  // A handler stops the last listens of its own namespace and of another
+  // one: both blocks go once the delivery ends, and the rest of the
+  // delivery still reaches the later candidates.
+  RadioChannel ch(sim, rng, cfg);
+  const RfChannel hop{51, 2}, other{52, 9};
+  TestDevice tx(1), a(2), b(3), c(4);
+  std::vector<std::uint64_t> heard;
+  ListenId la = 0, lb = 0, lc = 0;
+  la = ch.start_listen(&a, hop, [&](const Packet&, RfChannel, SimTime) {
+    heard.push_back(2);
+    ch.stop_listen(la);
+    ch.stop_listen(lb);
+    ch.stop_listen(lc);
+    EXPECT_EQ(ch.page_block_count(), 2u);
+  });
+  lb = ch.start_listen(&b, hop, [&](const Packet&, RfChannel, SimTime) {
+    heard.push_back(3);
+  });
+  lc = ch.start_listen(&c, other);
+  ch.transmit(&tx, hop, id_packet(1));
+  EXPECT_EQ(ch.page_block_count(), 2u);
+  sim.run();
+  EXPECT_EQ(heard, (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_EQ(ch.page_block_count(), 0u);
+  EXPECT_EQ(ch.listen_count(&a) + ch.listen_count(&b) + ch.listen_count(&c),
+            0u);
+}
+
 TEST_F(RadioTest, InterfererOutOfListenerRangeDoesNotCollide) {
   RadioChannel ch(sim, rng, cfg);
   TestDevice tx(1, {0, 0}), far(2, {100, 0}), rx(3, {5, 0});
@@ -539,20 +769,28 @@ TEST_F(RadioTest, OnlyInRangeListenersReceiveInOrderFlatAndGrid) {
 }
 
 TEST_F(RadioTest, RandomListenChurnMatchesModel) {
-  // Seeded churn of triggering and passive listens on three channels (two
-  // inquiry hops, one page hop) held by eight static devices, against a
-  // brute-force model of every live listen and occupancy hold. Stops come
-  // one at a time, per device, with stale ids, and from handlers in the
-  // middle of a delivery; holds expire through occupied(); the busiest
-  // channel crosses grid_threshold mid-run and migrates to the grid. After
-  // every operation the listen counts, occupied() at probe points and the
-  // receivers of a probe transmission (set and order) must match the
-  // model.
+  // Seeded churn of triggering and passive listens held by eight static
+  // devices on two inquiry hops, one hop of page namespace 9 and three hops
+  // of page namespace 13, with occupancy holds and one-shot subscriptions,
+  // against a brute-force model of every live listen, hold and pending
+  // subscription. Stops come one at a time, per device, with stale ids, and
+  // from handlers in the middle of a delivery; holds expire through
+  // occupied(); the busiest channel crosses grid_threshold mid-run and
+  // migrates to the grid; namespace 13 is used sparsely, so its block is
+  // released and rebuilt many times. After every operation the listen
+  // counts, occupied() at probe points, the live page blocks, the
+  // subscriptions fired (which, and in what order) and the receivers of a
+  // probe transmission (set and order) must match the model.
   cfg.grid_threshold = 12;
   RadioChannel ch(sim, rng, cfg);
   Rng ops{0xC0FFEE};
   const RfChannel kBusy{0, 5}, kQuiet{0, 6}, kPage{9, 3};
   const RfChannel channels[] = {kBusy, kBusy, kBusy, kBusy, kQuiet, kPage};
+  const RfChannel kSparse[] = {{13, 1}, {13, 4}, {13, 17}};
+  const auto pick_channel = [&] {
+    if (ops.uniform(16) == 0) return kSparse[ops.uniform(std::size(kSparse))];
+    return channels[ops.uniform(std::size(channels))];
+  };
   std::vector<std::unique_ptr<TestDevice>> devs;
   for (std::uint64_t i = 0; i < 8; ++i) {
     devs.push_back(std::make_unique<TestDevice>(
@@ -572,12 +810,21 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
     Vec2 pos;
     SimTime until;
   };
+  struct Sub {
+    OccupancySubId id;
+    std::uint32_t ns;
+    Vec2 pos;
+    int tag;
+  };
   std::vector<Live> live;
   std::vector<ListenId> dead;
   std::vector<Hold> holds;
+  std::vector<Sub> subs;      // pending, in subscription order
+  std::vector<Sub> all_subs;  // every one issued, for (stale) cancels
+  std::vector<int> fired;     // tags the radio fired, in order
   std::vector<std::uint64_t> got;  // seqs a probe reached, in order
   std::uint64_t next_seq = 0, handler_stops = 0, stale_stops = 0;
-  std::uint64_t stop_alls = 0, max_busy = 0, max_quiet = 0;
+  std::uint64_t stop_alls = 0, max_busy = 0, max_quiet = 0, cancels = 0;
   std::size_t busy_migrated_at = 0;
 
   const auto forget = [&](ListenId id) {
@@ -602,13 +849,32 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
     }
     ++stop_alls;
   };
+  const double ff = ch.ff_radius();
+  // Removes and returns, in subscription order, the tags of the pending
+  // subscriptions a trigger point at `pos` in `ns` satisfies.
+  const auto model_fire = [&](std::uint32_t ns, Vec2 pos) {
+    std::vector<int> tags;
+    for (std::size_t i = 0; i < subs.size();) {
+      if (subs[i].ns == ns && distance_sq(subs[i].pos, pos) <= ff * ff) {
+        tags.push_back(subs[i].tag);
+        subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    return tags;
+  };
   const auto start = [&] {
     TestDevice* d = devs[ops.uniform(devs.size())].get();
-    const RfChannel c = channels[ops.uniform(std::size(channels))];
+    const RfChannel c = pick_channel();
     const ListenKind kind =
         ops.uniform(3) == 0 ? ListenKind::kPassive : ListenKind::kTriggering;
     const bool stops = ops.uniform(8) == 0;
     const std::uint64_t seq = next_seq++;
+    const std::vector<int> want_fired = kind == ListenKind::kTriggering
+                                            ? model_fire(c.ns, d->pos)
+                                            : std::vector<int>{};
+    fired.clear();
     const ListenId id = ch.start_listen(
         d, c,
         [&, seq, stops](const Packet&, RfChannel, SimTime) {
@@ -623,9 +889,9 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
         },
         kind);
     live.push_back(Live{id, d, c, kind, sim.now(), seq});
+    ASSERT_EQ(fired, want_fired);
   };
 
-  const double ff = ch.ff_radius();
   const auto model_occupied = [&](std::uint32_t ns, Vec2 pos) {
     for (const Live& l : live) {
       if (l.ch.ns == ns && l.kind == ListenKind::kTriggering &&
@@ -641,23 +907,48 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
     }
     return false;
   };
+  // A page block is live while any listen, pending subscription or
+  // unexpired hold uses it (no transmission is in flight between
+  // operations). occupied() releases a block whose last hold expired, so
+  // after check()'s probes the count is exact.
+  const auto model_block_live = [&](std::uint32_t ns) {
+    for (const Live& l : live) {
+      if (l.ch.ns == ns) return true;
+    }
+    for (const Sub& sb : subs) {
+      if (sb.ns == ns) return true;
+    }
+    for (const Hold& h : holds) {
+      if (h.ns == ns && h.until > sim.now()) return true;
+    }
+    return false;
+  };
+  bool sparse_live = false;
+  std::uint64_t sparse_releases = 0;
   const auto check = [&](std::size_t step) {
     for (const auto& d : devs) {
       std::size_t n = 0;
       for (const Live& l : live) n += l.dev == d.get() ? 1 : 0;
       ASSERT_EQ(ch.listen_count(d.get()), n) << "step " << step;
     }
-    for (const std::uint32_t ns : {0u, 9u}) {
+    for (const std::uint32_t ns : {0u, 9u, 13u}) {
       for (const double x : {0.0, 25.0, 50.0, 100.0}) {
         const Vec2 p{x, 1.0};
         ASSERT_EQ(ch.occupied(ns, p), model_occupied(ns, p))
             << "step " << step << " ns " << ns << " x " << x;
       }
     }
+    ASSERT_EQ(ch.live_subscriptions(), subs.size()) << "step " << step;
+    const bool sparse = model_block_live(13);
+    ASSERT_EQ(ch.page_block_count(),
+              (model_block_live(9) ? 1u : 0u) + (sparse ? 1u : 0u))
+        << "step " << step;
+    if (sparse_live && !sparse) ++sparse_releases;
+    sparse_live = sparse;
   };
   TestDevice probe(0x999);
   const auto probe_delivery = [&](std::size_t step) {
-    const RfChannel c = channels[ops.uniform(std::size(channels))];
+    const RfChannel c = pick_channel();
     probe.pos = {static_cast<double>(ops.uniform(57)), 0.0};
     std::vector<Live> want;
     for (const Live& l : live) {
@@ -682,25 +973,52 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
 
   for (std::size_t step = 0; step < 3000; ++step) {
     const std::uint64_t r = ops.uniform(100);
-    if (r < 45) {
-      start();
-    } else if (r < 57) {
+    if (r < 42) {
+      ASSERT_NO_FATAL_FAILURE(start()) << "step " << step;
+    } else if (r < 54) {
       stop_one();
-    } else if (r < 62) {
+    } else if (r < 58) {
       if (!dead.empty()) {
         ch.stop_listen(dead[ops.uniform(dead.size())]);  // a no-op
         ++stale_stops;
       }
-    } else if (r < 64) {
+    } else if (r < 60) {
       stop_device(devs[ops.uniform(devs.size())].get());
-    } else if (r < 80) {
-      const RfChannel c = channels[ops.uniform(std::size(channels))];
+    } else if (r < 74) {
+      const RfChannel c = pick_channel();
       const Vec2 pos{static_cast<double>(ops.uniform(60)), 0.0};
       const SimTime until =
           sim.now() + Duration::micros(1 + static_cast<std::int64_t>(
                                                ops.uniform(3000)));
+      const std::vector<int> want_fired = model_fire(c.ns, pos);
+      fired.clear();
       ch.occupancy_hold(c, pos, until);
       holds.push_back(Hold{c.ns, pos, until});
+      ASSERT_EQ(fired, want_fired) << "step " << step;
+    } else if (r < 79) {
+      const std::uint32_t ns = pick_channel().ns;
+      const Vec2 pos{static_cast<double>(ops.uniform(60)), 0.0};
+      const int tag = static_cast<int>(all_subs.size());
+      const OccupancySubId id = ch.subscribe_occupancy(
+          ns, pos, [&fired, tag](SimTime) { fired.push_back(tag); });
+      subs.push_back(Sub{id, ns, pos, tag});
+      all_subs.push_back(subs.back());
+    } else if (r < 84) {
+      if (!all_subs.empty()) {
+        // Often one still pending, sometimes one that already fired or was
+        // cancelled (a no-op), possibly on a released block.
+        const Sub sb = ops.uniform(2) == 0 && !subs.empty()
+                           ? subs[ops.uniform(subs.size())]
+                           : all_subs[ops.uniform(all_subs.size())];
+        ch.unsubscribe_occupancy(sb.ns, sb.id);
+        for (std::size_t i = 0; i < subs.size(); ++i) {
+          if (subs[i].id == sb.id) {
+            subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(i));
+            ++cancels;
+            break;
+          }
+        }
+      }
     } else {
       sim.run_until(sim.now() + Duration::micros(static_cast<std::int64_t>(
                                     ops.uniform(1500))));
@@ -720,9 +1038,12 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
     ASSERT_NO_FATAL_FAILURE(check(step));
   }
   for (const auto& d : devs) stop_device(d.get());
+  for (const Sub& sb : subs) ch.unsubscribe_occupancy(sb.ns, sb.id);
+  subs.clear();
   sim.run_until(sim.now() + Duration::millis(4));  // every hold has expired
   check(3000);
   EXPECT_TRUE(live.empty());
+  EXPECT_EQ(ch.page_block_count(), 0u);
 
   // The stream exercised what it claims to.
   EXPECT_GT(busy_migrated_at, 20u);    // the busy channel migrated mid-run
@@ -731,6 +1052,9 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
   EXPECT_GT(handler_stops, 100u);
   EXPECT_GT(stale_stops, 50u);
   EXPECT_GT(stop_alls, 100u);
+  EXPECT_GT(sparse_releases, 20u);  // namespace 13's block came and went
+  EXPECT_GT(cancels, 20u);
+  EXPECT_GT(all_subs.size() - cancels, 50u);  // fired, not cancelled
 }
 
 }  // namespace
