@@ -125,21 +125,27 @@ struct ChannelConfig {
   /// tx-slot process every 1250 us even when no listener could possibly
   /// hear them -- the original, fully-literal schedule -- and piconet
   /// masters drum every poll round, including the provable no-ops. When
-  /// false (the default), a master whose channel set has no triggering
-  /// listener within ff_radius() parks on a VirtualClock and fast-forwards
-  /// closed-form to the instant one appears, and a drained piconet parks
-  /// its poll loop until the earliest round whose outcome the supervision
-  /// speed horizon cannot pin (see DESIGN.md section 5c). The two modes
-  /// produce byte-identical discovery histories and presence streams for a
-  /// fixed seed; only idle-slot bookkeeping differs.
+  /// false (the default), a master none of whose skipped IDs could reach a
+  /// trigger point (RadioChannel::occupied: on a hop of its current train,
+  /// a triggering listen within range + ff_slack_m or a hold within
+  /// 2 * range + ff_slack_m) parks on a VirtualClock and fast-forwards
+  /// closed-form to the instant one appears or its train switches, and a
+  /// drained piconet parks its poll loop until the earliest round whose
+  /// outcome the supervision speed horizon cannot pin (see DESIGN.md
+  /// section 5c). The two modes produce byte-identical discovery histories
+  /// and presence streams for a fixed seed; only idle-slot bookkeeping
+  /// differs. Sweeps drum exactly whatever this says while
+  /// cross_set_interference > 0, which no occupancy index can see.
   bool exact_slots = false;
-  /// Safety slack, metres, added to the occupancy radius
-  ///   ff_radius() = 2 * max_range_highwater + ff_slack_m
-  /// which over-approximates every interaction chain a skipped transmission
-  /// could join: a sender within range of a victim listener that is itself
-  /// within range of the parked master (hence the factor 2); the slack
-  /// absorbs listener drift between registration and delivery (same role as
-  /// grid_slack_m).
+  /// Safety slack, metres, added to both occupancy radii:
+  ///   listen_reach() = max_range_highwater + ff_slack_m   (listens)
+  ///   ff_radius()    = 2 * max_range_highwater + ff_slack_m (holds)
+  /// A skipped ID must reach a triggering listen to be heard or collide
+  /// there; a hold's response can meet a skipped ID at a victim listener
+  /// within range of both (hence the factor 2). The slack absorbs a
+  /// listener's drift between registration and delivery: a listen must
+  /// move less than ff_slack_m while it is open (same contract as
+  /// grid_slack_m). The sharded kernel's seam margin uses ff_radius() too.
   double ff_slack_m = 2.0;
 };
 

@@ -26,13 +26,13 @@ std::uint16_t get_u16(const AclPayload& in, std::size_t pos) {
                                      << 8));
 }
 
-std::deque<AclPayload> fragment(std::uint16_t msg_id, const AclPayload& p,
-                                std::size_t max_payload) {
+/// Appends the fragments of message `msg_id` to `q`.
+void fragment(std::uint16_t msg_id, const AclPayload& p,
+              std::size_t max_payload, AclQueue& q) {
   BIPS_ASSERT(max_payload > 0);
   const std::size_t total =
       p.empty() ? 1 : (p.size() + max_payload - 1) / max_payload;
   BIPS_ASSERT_MSG(total <= 0xFFFF, "ACL message too large to fragment");
-  std::deque<AclPayload> frags;
   for (std::size_t i = 0; i < total; ++i) {
     AclPayload f;
     const std::size_t lo = i * max_payload;
@@ -43,9 +43,8 @@ std::deque<AclPayload> fragment(std::uint16_t msg_id, const AclPayload& p,
     put_u16(f, static_cast<std::uint16_t>(total));
     f.insert(f.end(), p.begin() + static_cast<std::ptrdiff_t>(lo),
              p.begin() + static_cast<std::ptrdiff_t>(hi));
-    frags.push_back(std::move(f));
+    q.push_back(std::move(f));
   }
-  return frags;
 }
 
 }  // namespace
@@ -83,9 +82,8 @@ bool SlaveLink::parked() const {
 
 bool SlaveLink::send_to_master(AclPayload payload) {
   if (master_ == nullptr) return false;
-  auto frags = fragment(next_msg_id_++, payload,
-                        master_->config().max_fragment_payload);
-  for (auto& f : frags) tx_queue_.push_back(std::move(f));
+  fragment(next_msg_id_++, payload, master_->config().max_fragment_payload,
+           tx_queue_);
   master_->wake_polls();
   return true;
 }
@@ -258,9 +256,8 @@ std::vector<BdAddr> PiconetMaster::slave_addrs() const {
 bool PiconetMaster::send(BdAddr to, AclPayload payload) {
   const auto it = slaves_.find(to);
   if (it == slaves_.end()) return false;
-  auto frags = fragment(it->second.next_msg_id++, payload,
-                        cfg_.max_fragment_payload);
-  for (auto& f : frags) it->second.tx_queue.push_back(std::move(f));
+  fragment(it->second.next_msg_id++, payload, cfg_.max_fragment_payload,
+           it->second.tx_queue);
   wake_polls();
   return true;
 }

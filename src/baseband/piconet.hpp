@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -45,11 +44,15 @@
 #include "src/baseband/config.hpp"
 #include "src/baseband/device.hpp"
 #include "src/sim/virtual_clock.hpp"
+#include "src/util/fifo.hpp"
 
 namespace bips::baseband {
 
 /// Opaque application payload carried over an ACL link.
 using AclPayload = std::vector<std::uint8_t>;
+/// DM5-sized fragments awaiting the poll loop. Every handheld's link and
+/// every live connection keeps one, mostly empty: no heap while empty.
+using AclQueue = Fifo<AclPayload>;
 
 class PiconetMaster;
 
@@ -89,7 +92,7 @@ class SlaveLink {
   MessageCallback on_message_;
   DisconnectCallback on_disconnected_;
   std::uint16_t next_msg_id_ = 1;
-  std::deque<AclPayload> tx_queue_;  // fragments, drained by the poll loop
+  AclQueue tx_queue_;  // fragments, drained by the poll loop
 };
 
 /// Master side: owns up to 7 active slaves (AM_ADDR limit) and the poll loop.
@@ -213,7 +216,7 @@ class PiconetMaster {
   struct SlaveState {
     SlaveLink* link = nullptr;
     SimTime last_reachable;
-    std::deque<AclPayload> tx_queue;  // master -> slave, fragments
+    AclQueue tx_queue;  // master -> slave, fragments
     bool parked = false;
     SimTime last_activity;  // last data exchange (park-victim selection)
     std::uint16_t next_msg_id = 1;

@@ -177,7 +177,8 @@ ListenId RadioChannel::start_listen_backdated(RadioDevice* d, RfChannel ch,
   // callback schedules a wake process at `now`, and by the time it runs the
   // scanner state it is waking for must be visible.
   if (kind == ListenKind::kTriggering) {
-    add_trigger(ch.ns, d->position(), SimTime::max(), id);
+    add_trigger(ch.ns, TriggerPoint{d->position(), SimTime::max(), id,
+                                    ch.index});
   }
   return id;
 }
@@ -261,23 +262,28 @@ RadioChannel::Occupancy* RadioChannel::find_occupancy(std::uint32_t ns) {
   return block != nullptr && *block != nullptr ? &(*block)->occ : nullptr;
 }
 
-void RadioChannel::add_trigger(std::uint32_t ns, Vec2 pos, SimTime until,
-                               ListenId id) {
+RadioChannel::Reach RadioChannel::reach(std::uint32_t ns, HopMask hops) const {
+  const double hold = ff_radius();
+  if (ns != 0) return Reach{kAllHops, hold * hold, hold * hold};
+  const double listen = listen_reach();
+  return Reach{hops, listen * listen, hold * hold};
+}
+
+void RadioChannel::add_trigger(std::uint32_t ns, const TriggerPoint& point) {
   Occupancy& o = occupancy(ns);
-  if (id != kNoListen) {
-    lslots_[listen_slot_of(id)].trigger_pos =
+  if (point.listen != kNoListen) {
+    lslots_[listen_slot_of(point.listen)].trigger_pos =
         static_cast<std::uint32_t>(o.points.size());
   }
-  o.points.push_back(TriggerPoint{pos, until, id});
+  o.points.push_back(point);
   if (o.subs.empty()) return;
   // Fire every subscription the new point satisfies, in subscription order.
   // Stable compaction first, callbacks after: a callback may subscribe
   // again (not these callers, but nothing here should care).
   fired_cbs_.clear();
-  const double r = ff_radius();
   std::size_t keep = 0;
   for (std::size_t i = 0; i < o.subs.size(); ++i) {
-    if (distance_sq(o.subs[i].pos, pos) <= r * r) {
+    if (reach(ns, o.subs[i].hops).covers(o.subs[i].pos, point)) {
       fired_cbs_.push_back(std::move(o.subs[i].cb));
     } else {
       if (keep != i) o.subs[keep] = std::move(o.subs[i]);
@@ -311,14 +317,14 @@ void RadioChannel::erase_trigger(std::vector<TriggerPoint>& points,
 }
 
 void RadioChannel::occupancy_hold(RfChannel ch, Vec2 pos, SimTime until) {
-  add_trigger(ch.ns, pos, until, kNoListen);
+  add_trigger(ch.ns, TriggerPoint{pos, until, kNoListen, ch.index});
 }
 
-bool RadioChannel::occupied(std::uint32_t ns, Vec2 pos) {
+bool RadioChannel::occupied(std::uint32_t ns, HopMask hops, Vec2 pos) {
   Occupancy* o = find_occupancy(ns);
   if (o == nullptr) return false;
   const SimTime now = sim_.now();
-  const double r = ff_radius();
+  const Reach r = reach(ns, hops);
   bool hit = false;
   for (std::size_t i = 0; i < o->points.size();) {
     // Holds expire lazily; `until` is exclusive (a transmission starting
@@ -327,7 +333,7 @@ bool RadioChannel::occupied(std::uint32_t ns, Vec2 pos) {
       erase_trigger(o->points, i);
       continue;
     }
-    if (distance_sq(o->points[i].pos, pos) <= r * r) hit = true;
+    if (r.covers(pos, o->points[i])) hit = true;
     ++i;
   }
   // Expiry is the one way a block goes idle without a call that checks.
@@ -335,10 +341,11 @@ bool RadioChannel::occupied(std::uint32_t ns, Vec2 pos) {
   return hit;
 }
 
-OccupancySubId RadioChannel::subscribe_occupancy(std::uint32_t ns, Vec2 pos,
+OccupancySubId RadioChannel::subscribe_occupancy(std::uint32_t ns,
+                                                 HopMask hops, Vec2 pos,
                                                  OccupancyCallback cb) {
   const OccupancySubId id = next_sub_id_++;
-  occupancy(ns).subs.push_back(OccSubscriber{id, pos, std::move(cb)});
+  occupancy(ns).subs.push_back(OccSubscriber{id, hops, pos, std::move(cb)});
   ++live_subs_;
   sub_order_.emplace_back(ns, id);
   // sub_order_ keeps stale entries (fired / cancelled subscriptions) until
@@ -377,7 +384,7 @@ void RadioChannel::unsubscribe_occupancy(std::uint32_t ns, OccupancySubId id) {
 void RadioChannel::note_range(const RadioDevice* d) {
   const double r = tx_range(d);
   if (r <= max_range_hw_) return;
-  // The park predicate just widened under every parked master: fire every
+  // The park radii just widened under every parked master: fire every
   // pending subscription (in global subscription order) and let each owner
   // re-evaluate against the new radius. This is a cold path -- it can only
   // happen as many times as there are distinct device ranges.

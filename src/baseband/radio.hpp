@@ -51,12 +51,12 @@
 //
 // The channel also maintains the occupancy index behind the virtual-slot
 // fast-forward (DESIGN.md section 5c): per hop-set namespace it tracks the
-// positions of *triggering* listeners (scan windows, armed backoff windows,
-// response-exchange listens) plus transient holds covering committed
-// response flights, and offers one-shot subscribe_occupancy() wakeups. A
-// master whose channel set shows no trigger point within ff_radius() of it
-// may park its slot drumming and advance closed-form; the index wakes it
-// the instant that stops being safe.
+// positions and hops of *triggering* listeners (scan windows, armed backoff
+// windows, response-exchange listens) plus transient holds covering
+// committed response flights, and offers one-shot subscribe_occupancy()
+// wakeups. A master whose skipped IDs could reach no trigger point may park
+// its slot drumming and advance closed-form; the index wakes it the instant
+// that stops being safe.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +123,8 @@ using PacketHandler =
 ///   kTriggering -- the listener is *initiating* state: an open scan window,
 ///     an armed backoff listen, a response-exchange listen. Its presence
 ///     means a parked master's drumming could become observable, so it
-///     registers an occupancy trigger point and fires pending occupancy
-///     subscriptions within ff_radius().
+///     registers an occupancy trigger point on its hop and fires the pending
+///     occupancy subscriptions it satisfies (see occupied()).
 ///   kPassive -- the listener is *reactive* state that only matters if a
 ///     triggering listener already brought the interaction about: a master's
 ///     own response-window listens. Passive listens never hold a master
@@ -138,8 +138,13 @@ enum class ListenKind : std::uint8_t { kTriggering, kPassive };
 using OccupancySubId = std::uint64_t;
 inline constexpr OccupancySubId kNoOccupancySub = 0;
 
-/// Fired (once) when a triggering listener or hold appears within
-/// ff_radius() of the subscription point, with the current simulated time.
+/// Hop mask of an occupancy query: bit i stands for hop index i of the
+/// namespace (an inquiry train is 16 consecutive bits, rotated).
+using HopMask = std::uint32_t;
+inline constexpr HopMask kAllHops = 0xFFFF'FFFF;
+
+/// Fired (once) when a triggering listener or hold appears that satisfies
+/// the subscription (see occupied()), with the current simulated time.
 /// Runs at the end of the registration that satisfied it; the callback must
 /// only schedule (arm a process at `now`), never transmit or listen
 /// directly, so registration order stays the only order that matters.
@@ -199,38 +204,54 @@ class RadioChannel {
   //
   // Keyed per hop-set namespace (ns 0 = the shared inquiry set, one ns per
   // paged address). Trigger points are the kTriggering listens plus
-  // explicit holds; a master parks only while no trigger point in its
-  // namespace lies within ff_radius() of it, and is woken by a one-shot
-  // subscription the instant one appears.
+  // explicit holds, each recorded with its hop; a master parks only while
+  // no trigger point of its namespace is one its skipped IDs could reach,
+  // and is woken by a one-shot subscription the instant one appears.
 
   /// Registers a transient trigger point with no listen attached: a scanner
-  /// that has committed to transmitting a response keeps nearby masters in
-  /// exact mode until the response's flight ends at `until`. Expires lazily.
+  /// that has committed to transmitting a response on `ch` keeps nearby
+  /// masters in exact mode until the response's flight ends at `until`.
+  /// Expires lazily.
   void occupancy_hold(RfChannel ch, Vec2 pos, SimTime until);
-  /// True if any live trigger point in `ns` is within ff_radius() of `pos`.
-  bool occupied(std::uint32_t ns, Vec2 pos);
-  /// One-shot wakeup: `cb` fires when a trigger point appears within
-  /// ff_radius() of `pos` in `ns` (or when ff_radius() itself grows, which
-  /// invalidates every park decision). The caller checks occupied() first;
-  /// an already-satisfied subscription does not fire retroactively.
-  OccupancySubId subscribe_occupancy(std::uint32_t ns, Vec2 pos,
+  /// True if a live trigger point in `ns` is one that a master at `pos`
+  /// drumming the hops in `hops` could reach (DESIGN.md section 5c):
+  ///   * inquiry namespace: a point on one of `hops` -- a triggering listen
+  ///     within listen_reach() (a skipped ID must reach it to be heard or
+  ///     to collide there), a hold within ff_radius() (its FHS can meet a
+  ///     skipped ID at another master's passive window, or reach this
+  ///     master's own);
+  ///   * page namespace: any point within ff_radius(), whatever its hop (a
+  ///     pager accepts any ID carrying the target's access code, so another
+  ///     pager's skipped ID could act through a passive page window).
+  bool occupied(std::uint32_t ns, HopMask hops, Vec2 pos);
+  /// One-shot wakeup: `cb` fires when a trigger point appears that
+  /// occupied(ns, hops, pos) would count (or when the radii themselves
+  /// grow, which invalidates every park decision). The caller checks
+  /// occupied() first; an already-satisfied subscription does not fire
+  /// retroactively.
+  OccupancySubId subscribe_occupancy(std::uint32_t ns, HopMask hops, Vec2 pos,
                                      OccupancyCallback cb);
   /// Cancels a pending subscription (no-op if it already fired).
   void unsubscribe_occupancy(std::uint32_t ns, OccupancySubId id);
   /// Subscriptions still pending in every namespace.
   std::size_t live_subscriptions() const { return live_subs_; }
-  /// Radius of the park predicate: 2 * (largest transmit range any device
-  /// has shown) + ChannelConfig::ff_slack_m. The factor 2 closes the
-  /// interference chain -- a skipped transmission can only matter through a
-  /// victim listener within one range of both the parked master and the
-  /// interfering/receiving party (DESIGN.md section 5c).
+  /// Radius within which a hold counts (and any trigger point of a page
+  /// namespace): 2 * (largest transmit range any device has shown) +
+  /// ChannelConfig::ff_slack_m. The factor 2 closes the interference chain
+  /// -- a skipped transmission can only matter through a victim listener
+  /// within one range of both the parked master and the interfering or
+  /// receiving party (DESIGN.md section 5c).
   double ff_radius() const {
     return ff_radius_for(max_range_hw_, cfg_.ff_slack_m);
   }
+  /// Radius within which a triggering listen of the inquiry namespace
+  /// counts: the largest transmit range plus ff_slack_m, the listener's
+  /// drift while it is open.
+  double listen_reach() const { return max_range_hw_ + cfg_.ff_slack_m; }
   /// The ff_radius convention as a pure function, shared with the sharded
   /// kernel: a shard's seam margin uses the same 2 * range + slack rule, so
   /// "far enough from the seam to ignore the other side" and "far enough
-  /// from every trigger point to park" are one invariant.
+  /// from every hold to park" are one invariant.
   static double ff_radius_for(double range_highwater_m, double slack_m) {
     return 2.0 * range_highwater_m + slack_m;
   }
@@ -342,11 +363,25 @@ class RadioChannel {
     Vec2 pos;
     SimTime until;
     ListenId listen = kNoListen;  // kNoListen for holds
+    std::uint32_t hop = 0;        // RfChannel::index
   };
   struct OccSubscriber {
     OccupancySubId id;
+    HopMask hops;
     Vec2 pos;
     OccupancyCallback cb;
+  };
+  // What a master drumming `hops` of one namespace can reach: the hops that
+  // count and the squared radius for listens and for holds (see occupied()).
+  struct Reach {
+    HopMask hops;
+    double listen_sq;
+    double hold_sq;
+    bool covers(Vec2 at, const TriggerPoint& p) const {
+      if ((hops >> p.hop & 1u) == 0) return false;
+      return distance_sq(p.pos, at) <=
+             (p.listen != kNoListen ? listen_sq : hold_sq);
+    }
   };
   struct Occupancy {
     std::vector<TriggerPoint> points;
@@ -399,8 +434,10 @@ class RadioChannel {
   /// The occupancy block of `ns`, or nullptr if its page block is not
   /// live; never builds one.
   Occupancy* find_occupancy(std::uint32_t ns);
+  /// What a master drumming `hops` of namespace `ns` can reach.
+  Reach reach(std::uint32_t ns, HopMask hops) const;
   /// Registers a trigger point and fires satisfied subscriptions in `ns`.
-  void add_trigger(std::uint32_t ns, Vec2 pos, SimTime until, ListenId id);
+  void add_trigger(std::uint32_t ns, const TriggerPoint& point);
   void remove_trigger(std::uint32_t ns, ListenId id);
   /// Swap-and-pops points[i], re-pointing the listen moved into `i`.
   void erase_trigger(std::vector<TriggerPoint>& points, std::size_t i);
@@ -414,7 +451,7 @@ class RadioChannel {
   // Seed of the per-reception hash-derived draw streams (see deliver()).
   std::uint64_t draw_seed_;
   // High-water mark of tx_range() over every device that has transmitted or
-  // listened; the ff_radius() base.
+  // listened; the base of ff_radius() and listen_reach().
   double max_range_hw_;
   // Cached registry cells ("radio.*").
   obs::Counter* c_transmissions_;

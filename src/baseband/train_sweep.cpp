@@ -1,5 +1,6 @@
 #include "src/baseband/train_sweep.hpp"
 
+#include <bit>
 #include <utility>
 
 #include "src/baseband/hopping.hpp"
@@ -42,7 +43,10 @@ TrainSweep::TrainSweep(Device& dev, int train_repetitions, bool switch_trains,
 
 void TrainSweep::start(std::uint32_t ns, std::uint32_t base,
                        const Packet& id_packet, SimTime at) {
-  exact_ = dev_.radio().config().exact_slots;
+  // Cross-set interference lets a transmission destroy packets on any other
+  // hop or namespace, which no per-namespace occupancy index sees.
+  const ChannelConfig& cfg = dev_.radio().config();
+  exact_ = cfg.exact_slots || cfg.cross_set_interference > 0;
   ns_ = ns;
   base_ = base;
   train_slot_ = 0;
@@ -68,19 +72,25 @@ void TrainSweep::stop() {
 void TrainSweep::tx_slot() {
   const SimTime t0 = dev_.sim().now();
 
-  // Virtual-slot park: with no triggering listener in reach on the
-  // namespace, nothing this (or any following idle) slot transmits can be
-  // heard or interfere with anything observable -- skip ahead. The pending
-  // close_procs_ of the previous slots keep running: their listens are real
-  // and close on their own schedule.
-  if (!exact_ && !dev_.radio().occupied(ns_, dev_.position())) {
+  // Virtual-slot park: with no trigger point on the current train's hops
+  // that a skipped ID could reach, nothing this (or any following idle)
+  // slot of the train transmits can be heard or interfere with anything
+  // observable -- skip ahead. The pending close_procs_ of the previous slots
+  // keep running: their listens are real and close on their own schedule.
+  const HopMask hops = train_hops();
+  if (!exact_ && !dev_.radio().occupied(ns_, hops, dev_.position())) {
     vclock_.park(t0);
     occ_sub_ = dev_.radio().subscribe_occupancy(
-        ns_, dev_.position(), [this](SimTime) {
+        ns_, hops, dev_.position(), [this](SimTime) {
           // Fired from inside a triggering registration: only schedule.
           occ_sub_ = kNoOccupancySub;
           wake_proc_.call_at(dev_.sim().now());
         });
+    // The next train drums other hops: wake at its first slot, where
+    // tx_slot() tests them.
+    if (switch_trains_) {
+      wake_proc_.call_at(t0 + (slots_per_train_ - train_slot_) * kCadence);
+    }
     return;
   }
 
@@ -125,6 +135,10 @@ void TrainSweep::close_pair(int k) {
 
 void TrainSweep::wake() {
   if (!vclock_.parked()) return;
+  if (occ_sub_ != kNoOccupancySub) {  // woken by the train switch
+    dev_.radio().unsubscribe_occupancy(ns_, occ_sub_);
+    occ_sub_ = kNoOccupancySub;
+  }
   const SimTime now = dev_.sim().now();
   const SimTime parked_at = vclock_.parked_at();
   const auto wk = vclock_.wake(now);
@@ -160,6 +174,7 @@ void TrainSweep::wake() {
 void TrainSweep::retire(SimTime now) {
   const SimTime parked_at = vclock_.parked_at();
   const std::uint64_t n = vclock_.retire(now);
+  wake_proc_.cancel();
   if (occ_sub_ != kNoOccupancySub) {
     dev_.radio().unsubscribe_occupancy(ns_, occ_sub_);
     occ_sub_ = kNoOccupancySub;
@@ -240,6 +255,11 @@ std::uint32_t TrainSweep::channel_at(std::uint64_t k,
   }
   const auto ts = static_cast<std::uint32_t>(slot % kTrainTxSlots);
   return (base + 2 * ts + half) % kChannelsPerSet;
+}
+
+HopMask TrainSweep::train_hops() const {
+  constexpr HopMask kTrain = (HopMask{1} << kTrainSize) - 1;
+  return std::rotl(kTrain, static_cast<int>(base_));
 }
 
 void TrainSweep::advance(std::uint64_t n) {

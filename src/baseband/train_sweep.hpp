@@ -15,17 +15,20 @@
 // inquiry_tx_channel(); the pager's base is the train centred on the
 // target's predicted scan channel.
 //
-// Virtual slots: unless ChannelConfig::exact_slots is set, a sweep whose
-// namespace shows no triggering listener within ff_radius() parks on a
-// VirtualClock and subscribes for occupancy. On wake it advances the phase
-// closed-form, credits the skipped IDs and response windows to the
-// statistics and energy ledgers, reconstructs the (at most two)
-// response-listen pairs still open as backdated listens, and replays the
-// last skipped slot's second ID if its half-slot is still in the future. A
-// park that ends without a wake (stop, pause) credits what the exact path
-// would have drummed before it; a mid-park ids_sent() or train_switches()
-// read counts it lazily. DESIGN.md section 5c derives why this is
-// byte-equivalent to drumming every slot.
+// Virtual slots: unless ChannelConfig::exact_slots is set (or cross-set
+// interference is on, which lets a skipped ID act on any hop), a sweep
+// whose skipped IDs could reach no trigger point on the current train's 16
+// hops (RadioChannel::occupied) parks on a VirtualClock and subscribes for
+// occupancy with that hop mask. A park that would cross a train switch also
+// wakes at the next train's first slot, where tx_slot() tests the new
+// train's hops. On wake it advances the phase closed-form, credits the
+// skipped IDs and response windows to the statistics and energy ledgers,
+// reconstructs the (at most two) response-listen pairs still open as
+// backdated listens, and replays the last skipped slot's second ID if its
+// half-slot is still in the future. A park that ends without a wake (stop,
+// pause) credits what the exact path would have drummed before it; a
+// mid-park ids_sent() or train_switches() read counts it lazily. DESIGN.md
+// section 5c derives why this is byte-equivalent to drumming every slot.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +94,8 @@ class TrainSweep {
   /// Channel index of half `half` of the TX slot `k` slots after the
   /// current phase.
   std::uint32_t channel_at(std::uint64_t k, std::uint32_t half) const;
+  /// The 16 hops of the current train, as an occupancy hop mask.
+  HopMask train_hops() const;
   /// Advances the phase by `n` TX slots.
   void advance(std::uint64_t n);
   /// Ends the park's crediting at `ids` IDs and `listen` of response
@@ -103,7 +108,9 @@ class TrainSweep {
   bool switch_trains_;
   PacketHandler on_response_;
 
-  bool exact_ = true;  // snapshot of ChannelConfig::exact_slots at start()
+  // Drums every slot: ChannelConfig::exact_slots, or cross-set
+  // interference on; snapshotted at start().
+  bool exact_ = true;
   std::uint32_t ns_ = 0;
   std::uint32_t base_ = 0;         // first index of the current train
   std::uint64_t train_slot_ = 0;  // TX slots into the current train
@@ -122,8 +129,9 @@ class TrainSweep {
                                 {kNoListen, kNoListen}};
   int close_rotor_ = 0;
   // Fast-forward state: the parked cadence (one activation per two slots),
-  // the wake process the occupancy callback arms (callbacks may only
-  // schedule), and the pending subscription, if any.
+  // the wake process (armed by the occupancy callback, which may only
+  // schedule, and at the next train's first slot), and the pending
+  // subscription, if any.
   sim::VirtualClock vclock_;
   sim::Process wake_proc_;
   OccupancySubId occ_sub_ = kNoOccupancySub;

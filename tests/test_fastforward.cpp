@@ -543,6 +543,257 @@ TEST(FastForward, TrainSweepWakeRebuildsTheExactSlotState) {
   EXPECT_GT(ff.skipped, 1000u);
 }
 
+// ---- what a parked inquiry sweep's skipped IDs could reach --------------
+
+// Inquirers (optional second one) against one inquiry scanner held on a
+// fixed channel, run exact and fast-forward. The second master B sits 9 m
+// from the master under test A, and A's sweep runs exactly 625 us behind
+// B's: A then sends each hop exactly when an FHS answering B's ID on that
+// hop starts, so while A drums, an FHS from a scanner in B's range dies at
+// B under A's ID (B lies in A's range) -- the interference chain a hold
+// covers.
+struct ParkWorld {
+  Vec2 scanner_pos{5, 0};
+  std::uint32_t scan_channel = 3;  // train A
+  int train_repetitions = kNInquiry;
+  bool switch_trains = true;
+  bool second_master = false;
+  Duration run = Duration::seconds(10);
+};
+
+struct ParkResult {
+  // Every first FHS of a session, as (master, instant); a session is
+  // restarted every 2 s so one run reaches the scanner several times.
+  std::vector<std::pair<int, std::int64_t>> reached;
+  std::vector<std::uint64_t> ids_sent, fhs_received;  // per master
+  std::vector<std::int64_t> tx_ns, listen_ns;         // per master
+  std::uint64_t ids_heard = 0, fhs_sent = 0;          // the scanner
+  std::uint64_t skipped = 0, wakeups = 0;
+};
+
+ParkResult park_trial(const ParkWorld& w, std::uint64_t seed, bool exact) {
+  ChannelConfig ch;
+  ch.exact_slots = exact;
+  sim::Simulator sim;
+  Rng rng(seed);
+  RadioChannel radio(sim, rng, ch);
+  std::vector<std::unique_ptr<Device>> masters;
+  masters.push_back(
+      std::make_unique<Device>(sim, radio, BdAddr(0xA1), rng.fork()));
+  if (w.second_master) {
+    // B's clock must run 2 ticks (625 us) ahead of A's on the slot grid, so
+    // that A's TX slots start 625 us into B's; draw B's stream until it is.
+    const std::uint32_t a_phase = masters[0]->clock().phase_ticks();
+    for (;;) {
+      auto b = std::make_unique<Device>(sim, radio, BdAddr(0xA2), rng.fork(),
+                                        Vec2{9, 0});
+      if (((b->clock().phase_ticks() - a_phase) & 3u) == 2u) {
+        masters.push_back(std::move(b));
+        break;
+      }
+    }
+  }
+  Device slave(sim, radio, BdAddr(0xB1), rng.fork(), w.scanner_pos);
+
+  ParkResult r;
+  InquiryConfig icfg;
+  icfg.train_repetitions = w.train_repetitions;
+  icfg.switch_trains = w.switch_trains;
+  std::vector<std::unique_ptr<Inquirer>> inqs;
+  for (std::size_t m = 0; m < masters.size(); ++m) {
+    inqs.push_back(std::make_unique<Inquirer>(
+        *masters[m], icfg, [&r, &sim, m](const InquiryResponse&) {
+          r.reached.emplace_back(static_cast<int>(m), sim.now().ns());
+        }));
+  }
+  ScanConfig scfg;
+  scfg.window = Duration::millis(320);
+  scfg.interval = Duration::millis(640);
+  scfg.channel_mode = ScanChannelMode::kFixed;
+  InquiryScanner scan(slave, scfg, BackoffConfig{});
+  scan.set_initial_channel(w.scan_channel);
+  scan.start_with_phase(Duration(0));
+
+  // B starts at its first even slot and A 625 us later, on an even slot of
+  // A's clock. Sessions restart every 2 s.
+  const SimTime b_start = masters.back()->clock().next_even_slot(SimTime(0));
+  const SimTime a_start =
+      w.second_master ? b_start + 2 * kHalfSlot : b_start;
+  for (SimTime t = SimTime(0); t < SimTime(w.run.ns());
+       t = t + Duration::seconds(2)) {
+    sim.schedule_at(t + (a_start - SimTime(0)), [&inqs] {
+      inqs[0]->stop();
+      inqs[0]->start();
+    });
+    if (w.second_master) {
+      sim.schedule_at(t + (b_start - SimTime(0)), [&inqs] {
+        inqs[1]->stop();
+        inqs[1]->start();
+      });
+    }
+  }
+  // Off the 312.5 us lattice (see range_transition_trial).
+  sim.run_until(SimTime(w.run.ns()) + Duration::micros(100));
+  for (std::size_t m = 0; m < masters.size(); ++m) {
+    r.ids_sent.push_back(inqs[m]->stats().ids_sent);
+    r.fhs_received.push_back(inqs[m]->stats().fhs_received);
+    r.tx_ns.push_back(masters[m]->energy().tx_time.ns());
+    r.listen_ns.push_back(masters[m]->energy().listen_time.ns());
+  }
+  r.ids_heard = scan.stats().ids_heard;
+  r.fhs_sent = scan.stats().fhs_sent;
+  for (auto& inq : inqs) inq->stop();
+  scan.stop();
+  r.skipped = sim.obs().metrics.counter_value("kernel.skipped_slots");
+  r.wakeups = sim.obs().metrics.counter_value("radio.occ_wakeups");
+  return r;
+}
+
+void expect_parks_agree(const ParkResult& ex, const ParkResult& ff,
+                        const std::string& label) {
+  EXPECT_EQ(ex.reached, ff.reached) << label;
+  EXPECT_EQ(ex.ids_sent, ff.ids_sent) << label;
+  EXPECT_EQ(ex.fhs_received, ff.fhs_received) << label;
+  EXPECT_EQ(ex.tx_ns, ff.tx_ns) << label;
+  EXPECT_EQ(ex.listen_ns, ff.listen_ns) << label;
+  EXPECT_EQ(ex.ids_heard, ff.ids_heard) << label;
+  EXPECT_EQ(ex.fhs_sent, ff.fhs_sent) << label;
+  EXPECT_EQ(ex.skipped, 0u) << label;
+}
+
+TEST(FastForward, ScannerOnTheOtherTrainKeepsNoMasterAwake) {
+  // The master sweeps train A only; the scanner, in range, listens on a
+  // train B hop. No ID of the train can reach it, so the master parks for
+  // the whole run and no listen wakes it.
+  ParkWorld w;
+  w.scan_channel = 20;
+  w.switch_trains = false;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::string label = "seed " + std::to_string(seed);
+    const ParkResult ex = park_trial(w, seed, /*exact=*/true);
+    const ParkResult ff = park_trial(w, seed, /*exact=*/false);
+    expect_parks_agree(ex, ff, label);
+    EXPECT_EQ(ex.ids_heard, 0u) << label;
+    EXPECT_EQ(ff.wakeups, 0u) << label;
+    EXPECT_GT(ff.skipped, 7900u) << label;  // 8000 TX slots in 10 s
+  }
+}
+
+TEST(FastForward, ScannerBetweenTheListenReachAndFfRadiusKeepsNoMasterAwake) {
+  // 15 m: beyond listen_reach() (12 m), within ff_radius() (22 m). The
+  // scanner's listens are on the master's train but out of its range.
+  ParkWorld w;
+  w.scanner_pos = {15, 0};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::string label = "seed " + std::to_string(seed);
+    const ParkResult ex = park_trial(w, seed, /*exact=*/true);
+    const ParkResult ff = park_trial(w, seed, /*exact=*/false);
+    expect_parks_agree(ex, ff, label);
+    EXPECT_EQ(ex.ids_heard, 0u) << label;
+    EXPECT_EQ(ff.wakeups, 0u) << label;
+    EXPECT_GT(ff.skipped, 7900u) << label;
+  }
+}
+
+TEST(FastForward, HoldWakesAMasterWhoseIdWouldDestroyAnFhsAtAnotherMaster) {
+  // The scanner, 17 m from A and 8 m from B, answers B. Its listens are
+  // beyond A's listen_reach(), but each committed FHS registers a hold
+  // within ff_radius() of A: A wakes and drums, and its ID on the FHS's
+  // hop destroys the FHS at B, exactly as the exact drum does.
+  ParkWorld w;
+  w.scanner_pos = {17, 0};
+  w.scan_channel = 4;
+  w.second_master = true;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::string label = "seed " + std::to_string(seed);
+    const ParkResult ex = park_trial(w, seed, /*exact=*/true);
+    const ParkResult ff = park_trial(w, seed, /*exact=*/false);
+    expect_parks_agree(ex, ff, label);
+    EXPECT_GT(ex.fhs_sent, 5u) << label;
+    EXPECT_EQ(ex.fhs_received[1], 0u) << label;  // every one died at B
+    EXPECT_GT(ff.wakeups, 5u) << label;
+    EXPECT_GT(ff.skipped, 4000u) << label;
+  }
+}
+
+TEST(FastForward, ParkAcrossATrainSwitchWakesForTheNextTrain) {
+  // Two repetitions per train (20 ms): the scanner's train B hop is dark to
+  // every park on train A, which must wake at the switch to train B.
+  ParkWorld w;
+  w.scan_channel = 20;
+  w.train_repetitions = 2;
+  std::size_t reached = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::string label = "seed " + std::to_string(seed);
+    const ParkResult ex = park_trial(w, seed, /*exact=*/true);
+    const ParkResult ff = park_trial(w, seed, /*exact=*/false);
+    expect_parks_agree(ex, ff, label);
+    reached += ex.reached.size();
+    EXPECT_GT(ff.skipped, 1000u) << label;
+  }
+  EXPECT_GT(reached, 3u);
+}
+
+TEST(FastForward, CrossSetInterferenceKeepsSweepsExact) {
+  // With cross-set interference a transmission destroys packets of other
+  // namespaces: the inquirer's IDs kill the pager's at the page scanner,
+  // which no occupancy index of the (scanner-free) inquiry namespace sees.
+  // Both sweeps must drum every slot, as in exact mode.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    std::vector<std::int64_t> connected[2];
+    std::uint64_t failed[2] = {}, inq_ids[2] = {}, page_ids[2] = {};
+    std::int64_t energy[2] = {};
+    for (const bool exact : {true, false}) {
+      ChannelConfig ch;
+      ch.exact_slots = exact;
+      ch.cross_set_interference = 1.0;
+      sim::Simulator sim;
+      Rng rng(seed);
+      RadioChannel radio(sim, rng, ch);
+      Device inq_dev(sim, radio, BdAddr(0xA1), rng.fork());
+      Device pager_dev(sim, radio, BdAddr(0xA2), rng.fork(), {3, 0});
+      Device slave(sim, radio, BdAddr(0xB1), rng.fork(), {5, 0});
+      Inquirer inq(inq_dev, InquiryConfig{}, nullptr);
+      Pager pager(pager_dev, PageConfig{});
+      ScanConfig scfg;
+      scfg.window = Duration::millis(320);
+      scfg.interval = Duration::millis(640);
+      PageScanner pscan(slave, scfg);
+      const auto page = [&] {
+        pager.page(slave.addr(), slave.clock().clkn(sim.now()), sim.now());
+      };
+      pager.set_on_success([&](BdAddr, SimTime when) {
+        connected[exact].push_back(when.ns());
+        page();
+      });
+      pager.set_on_failure([&](BdAddr) { page(); });
+      pscan.set_on_connected([&](BdAddr, std::uint32_t, SimTime now) {
+        pscan.start_with_phase(scfg.interval -
+                               Duration(now.ns() % scfg.interval.ns()));
+      });
+      pscan.start_with_phase(Duration(0));
+      inq.start();
+      page();
+      sim.run_until(SimTime(Duration::micros(20'000'100).ns()));
+      failed[exact] = pager.stats().pages_failed;
+      inq_ids[exact] = inq.stats().ids_sent;
+      page_ids[exact] = pager.stats().ids_sent;
+      energy[exact] = inq_dev.energy().radio_on().ns() +
+                      pager_dev.energy().radio_on().ns();
+      pager.cancel();
+      inq.stop();
+      pscan.stop();
+    }
+    const std::string label = "seed " + std::to_string(seed);
+    EXPECT_EQ(connected[1], connected[0]) << label;
+    EXPECT_EQ(failed[1], failed[0]) << label;
+    EXPECT_GT(failed[1], 0u) << label;
+    EXPECT_EQ(inq_ids[1], inq_ids[0]) << label;
+    EXPECT_EQ(page_ids[1], page_ids[0]) << label;
+    EXPECT_EQ(energy[1], energy[0]) << label;
+  }
+}
+
 // ---- supervised piconet equivalence -------------------------------------
 
 struct SupervisedResult {

@@ -354,26 +354,29 @@ TEST_F(RadioTest, PageBlockLivesWhileAnythingUsesIt) {
 
   // A subscription alone, cancelled; a cancel of a released block's
   // subscription is a no-op that builds nothing.
-  OccupancySubId sub = ch.subscribe_occupancy(hop.ns, {0, 0}, [](SimTime) {});
+  OccupancySubId sub =
+      ch.subscribe_occupancy(hop.ns, kAllHops, {0, 0}, [](SimTime) {});
   EXPECT_EQ(ch.page_block_count(), 1u);
   ch.unsubscribe_occupancy(hop.ns, sub);
   EXPECT_EQ(ch.page_block_count(), 0u);
   ch.unsubscribe_occupancy(hop.ns, sub);
-  EXPECT_FALSE(ch.occupied(hop.ns, {0, 0}));
+  EXPECT_FALSE(ch.occupied(hop.ns, kAllHops, {0, 0}));
   EXPECT_EQ(ch.page_block_count(), 0u);
 
   // A hold alone: alive until it expires; occupied() then releases it.
   ch.occupancy_hold(hop, {0, 0}, sim.now() + Duration::micros(100));
   EXPECT_EQ(ch.page_block_count(), 1u);
-  EXPECT_TRUE(ch.occupied(hop.ns, {0, 0}));
+  EXPECT_TRUE(ch.occupied(hop.ns, kAllHops, {0, 0}));
   sim.run_until(sim.now() + Duration::micros(100));
-  EXPECT_FALSE(ch.occupied(hop.ns, {0, 0}));  // `until` is exclusive
+  // `until` is exclusive.
+  EXPECT_FALSE(ch.occupied(hop.ns, kAllHops, {0, 0}));
   EXPECT_EQ(ch.page_block_count(), 0u);
 
   // All four at once, removed one at a time: the block stays until the last.
   const SimTime t0 = sim.now();
   l = ch.start_listen(&rx, hop);
-  sub = ch.subscribe_occupancy(hop.ns, {500, 0}, [](SimTime) {});  // far
+  sub = ch.subscribe_occupancy(hop.ns, kAllHops, {500, 0},  // far
+                               [](SimTime) {});
   ch.occupancy_hold(hop, {0, 0}, t0 + Duration::micros(300));
   ch.transmit(&tx, hop, id_packet(1));  // lands at t0 + 68 us
   ch.stop_listen(l);
@@ -382,10 +385,10 @@ TEST_F(RadioTest, PageBlockLivesWhileAnythingUsesIt) {
   EXPECT_EQ(ch.page_block_count(), 1u);  // flight, hold
   sim.run_until(t0 + Duration::micros(200));
   EXPECT_EQ(ch.page_block_count(), 1u);  // the hold
-  EXPECT_TRUE(ch.occupied(hop.ns, {0, 0}));
+  EXPECT_TRUE(ch.occupied(hop.ns, kAllHops, {0, 0}));
   sim.run_until(t0 + Duration::micros(300));
   EXPECT_EQ(ch.page_block_count(), 1u);  // expired, but nothing checked yet
-  EXPECT_FALSE(ch.occupied(hop.ns, {0, 0}));
+  EXPECT_FALSE(ch.occupied(hop.ns, kAllHops, {0, 0}));
   EXPECT_EQ(ch.page_block_count(), 0u);
   EXPECT_TRUE(rx.received.empty());  // the listen stopped mid-packet
 
@@ -397,6 +400,104 @@ TEST_F(RadioTest, PageBlockLivesWhileAnythingUsesIt) {
   EXPECT_EQ(ch.page_block_count(), 0u);
 }
 
+TEST_F(RadioTest, InquiryOccupancyCountsOnlyTheSweptHops) {
+  // A sweep on train A (hops 0..15) cannot reach a listen or a hold on a
+  // train B hop: neither satisfies occupied() nor fires its subscription.
+  // On a swept hop each does. A page namespace counts every hop.
+  RadioChannel ch(sim, rng, cfg);
+  constexpr HopMask kTrainA = 0x0000'FFFF;
+  constexpr HopMask kTrainB = ~kTrainA;
+  const Vec2 master{0, 0};
+  TestDevice scanner(2, {5, 0});
+  std::vector<int> fired;
+  const auto subscribe = [&](int tag) {
+    return ch.subscribe_occupancy(0, kTrainA, master, [&fired, tag](SimTime) {
+      fired.push_back(tag);
+    });
+  };
+  const SimTime until = sim.now() + Duration::micros(400);
+
+  subscribe(1);
+  const ListenId off_train = ch.start_listen(&scanner, RfChannel{0, 20});
+  ch.occupancy_hold(RfChannel{0, 17}, {5, 0}, until);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_FALSE(ch.occupied(0, kTrainA, master));
+  EXPECT_TRUE(ch.occupied(0, kTrainB, master));
+  ch.stop_listen(off_train);
+  EXPECT_TRUE(ch.occupied(0, kTrainB, master));  // the hold alone
+
+  // A listen on a swept hop fires the subscription and occupies.
+  const ListenId on_train = ch.start_listen(&scanner, RfChannel{0, 15});
+  EXPECT_EQ(fired, std::vector<int>{1});
+  EXPECT_TRUE(ch.occupied(0, kTrainA, master));
+  ch.stop_listen(on_train);
+  EXPECT_FALSE(ch.occupied(0, kTrainA, master));
+
+  // So does a hold on a swept hop; one on the other train does not.
+  subscribe(2);
+  ch.occupancy_hold(RfChannel{0, 16}, {5, 0}, until);
+  EXPECT_EQ(fired, std::vector<int>{1});
+  ch.occupancy_hold(RfChannel{0, 0}, {5, 0}, until);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(ch.occupied(0, kTrainA, master));
+  sim.run_until(until);
+  EXPECT_FALSE(ch.occupied(0, kTrainA, master));
+  EXPECT_FALSE(ch.occupied(0, kTrainB, master));
+
+  // A page namespace ignores the mask: a listen on any hop counts.
+  const RfChannel page_hop{9, 20};
+  int page_fired = 0;
+  ch.subscribe_occupancy(9, kTrainA, master,
+                         [&page_fired](SimTime) { ++page_fired; });
+  const ListenId page_listen = ch.start_listen(&scanner, page_hop);
+  EXPECT_EQ(page_fired, 1);
+  EXPECT_TRUE(ch.occupied(9, kTrainA, master));
+  ch.stop_listen(page_listen);
+}
+
+TEST_F(RadioTest, InquiryListensCountWithinListenReachHoldsWithinFfRadius) {
+  // Default 10 m range and 2 m slack: a triggering listen of the inquiry
+  // namespace counts within listen_reach() = 12 m, because a skipped ID
+  // must reach it; a hold counts within ff_radius() = 22 m, because its FHS
+  // can meet a skipped ID at another master's passive window.
+  RadioChannel ch(sim, rng, cfg);
+  ASSERT_DOUBLE_EQ(ch.listen_reach(), 12.0);
+  ASSERT_DOUBLE_EQ(ch.ff_radius(), 22.0);
+  const RfChannel hop{0, 3};
+  const Vec2 master{0, 0};
+  TestDevice beyond(2, {12.1, 0}), within(3, {0, 11.9});
+  int fired = 0;
+  const auto subscribe = [&] {
+    ch.subscribe_occupancy(0, kAllHops, master,
+                           [&fired](SimTime) { ++fired; });
+  };
+
+  subscribe();
+  const ListenId far_listen = ch.start_listen(&beyond, hop);
+  EXPECT_EQ(fired, 0);
+  EXPECT_FALSE(ch.occupied(0, kAllHops, master));
+  const ListenId near_listen = ch.start_listen(&within, hop);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(ch.occupied(0, kAllHops, master));
+  ch.stop_listen(near_listen);
+  EXPECT_FALSE(ch.occupied(0, kAllHops, master));
+
+  subscribe();
+  const SimTime until = sim.now() + Duration::micros(400);
+  ch.occupancy_hold(hop, {22.1, 0}, until);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(ch.occupied(0, kAllHops, master));
+  ch.occupancy_hold(hop, {-15.0, 15.0}, until);  // 21.2 m
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(ch.occupied(0, kAllHops, master));
+
+  // In a page namespace the listen beyond 12 m counts (within 22 m).
+  const ListenId page_listen = ch.start_listen(&beyond, RfChannel{9, 3});
+  EXPECT_TRUE(ch.occupied(9, kAllHops, master));
+  ch.stop_listen(page_listen);
+  ch.stop_listen(far_listen);
+}
+
 TEST_F(RadioTest, RebuiltPageBlockDeliversCollidesAndReportsOccupancy) {
   RadioChannel ch(sim, rng, cfg);
   const RfChannel hop{41, 7};
@@ -405,7 +506,7 @@ TEST_F(RadioTest, RebuiltPageBlockDeliversCollidesAndReportsOccupancy) {
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE(round);
     ASSERT_EQ(ch.page_block_count(), 0u);
-    EXPECT_FALSE(ch.occupied(hop.ns, near));
+    EXPECT_FALSE(ch.occupied(hop.ns, kAllHops, near));
     rx.received.clear();
     rx2.received.clear();
     const std::uint64_t collisions0 =
@@ -413,7 +514,7 @@ TEST_F(RadioTest, RebuiltPageBlockDeliversCollidesAndReportsOccupancy) {
 
     // A clean delivery, then two overlapping packets that collide.
     ListenId l = ch.start_listen(&rx, hop);
-    EXPECT_TRUE(ch.occupied(hop.ns, near));
+    EXPECT_TRUE(ch.occupied(hop.ns, kAllHops, near));
     ch.transmit(&tx1, hop, id_packet(1));
     sim.run();
     EXPECT_EQ(rx.received.size(), 1u);
@@ -436,7 +537,7 @@ TEST_F(RadioTest, RebuiltPageBlockDeliversCollidesAndReportsOccupancy) {
     sim.schedule(Duration::micros(20), [&] {
       ch.stop_listen(l);
       EXPECT_EQ(ch.page_block_count(), 1u);
-      EXPECT_FALSE(ch.occupied(hop.ns, near));
+      EXPECT_FALSE(ch.occupied(hop.ns, kAllHops, near));
     });
     sim.schedule(Duration::micros(30), [&] {
       l = ch.start_listen(&rx2, hop);
@@ -770,21 +871,27 @@ TEST_F(RadioTest, OnlyInRangeListenersReceiveInOrderFlatAndGrid) {
 
 TEST_F(RadioTest, RandomListenChurnMatchesModel) {
   // Seeded churn of triggering and passive listens held by eight static
-  // devices on two inquiry hops, one hop of page namespace 9 and three hops
-  // of page namespace 13, with occupancy holds and one-shot subscriptions,
-  // against a brute-force model of every live listen, hold and pending
-  // subscription. Stops come one at a time, per device, with stale ids, and
-  // from handlers in the middle of a delivery; holds expire through
-  // occupied(); the busiest channel crosses grid_threshold mid-run and
-  // migrates to the grid; namespace 13 is used sparsely, so its block is
-  // released and rebuilt many times. After every operation the listen
-  // counts, occupied() at probe points, the live page blocks, the
-  // subscriptions fired (which, and in what order) and the receivers of a
-  // probe transmission (set and order) must match the model.
+  // devices on two inquiry hops (one per train), one hop of page namespace
+  // 9 and three hops of page namespace 13, with occupancy holds and one-shot
+  // subscriptions over three hop masks, against a brute-force model of
+  // every live listen, hold and pending subscription. Stops come one at a
+  // time, per device, with stale ids, and from handlers in the middle of a
+  // delivery; holds expire through occupied(); the busiest channel crosses
+  // grid_threshold mid-run and migrates to the grid; namespace 13 is used
+  // sparsely, so its block is released and rebuilt many times. After every
+  // operation the listen counts, occupied() at probe points under each
+  // mask, the live page blocks, the subscriptions fired (which, and in what
+  // order) and the receivers of a probe transmission (set and order) must
+  // match the model. The model's occupancy rule is occupied()'s: in the
+  // inquiry namespace a point counts only on a masked hop, a listen within
+  // listen_reach() and a hold within ff_radius(); in a page namespace every
+  // point counts within ff_radius().
   cfg.grid_threshold = 12;
   RadioChannel ch(sim, rng, cfg);
   Rng ops{0xC0FFEE};
-  const RfChannel kBusy{0, 5}, kQuiet{0, 6}, kPage{9, 3};
+  const RfChannel kBusy{0, 5}, kQuiet{0, 22}, kPage{9, 3};
+  // Train A, train B, and the train a pager centred on hop 20 sweeps.
+  const HopMask kMasks[] = {0x0000'FFFF, 0xFFFF'0000, 0x0FFF'F000};
   const RfChannel channels[] = {kBusy, kBusy, kBusy, kBusy, kQuiet, kPage};
   const RfChannel kSparse[] = {{13, 1}, {13, 4}, {13, 17}};
   const auto pick_channel = [&] {
@@ -806,13 +913,14 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
     std::uint64_t seq;
   };
   struct Hold {
-    std::uint32_t ns;
+    RfChannel ch;
     Vec2 pos;
     SimTime until;
   };
   struct Sub {
     OccupancySubId id;
     std::uint32_t ns;
+    HopMask hops;
     Vec2 pos;
     int tag;
   };
@@ -825,6 +933,10 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
   std::vector<std::uint64_t> got;  // seqs a probe reached, in order
   std::uint64_t next_seq = 0, handler_stops = 0, stale_stops = 0;
   std::uint64_t stop_alls = 0, max_busy = 0, max_quiet = 0, cancels = 0;
+  // Subscriptions the model fired, and the ones it kept although the point
+  // lay within ff_radius(): on an unmasked hop, or a listen beyond
+  // listen_reach().
+  std::uint64_t model_fired = 0, kept_by_hop = 0, kept_by_radius = 0;
   std::size_t busy_migrated_at = 0;
 
   const auto forget = [&](ListenId id) {
@@ -850,17 +962,34 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
     ++stop_alls;
   };
   const double ff = ch.ff_radius();
+  const double reach = ch.listen_reach();
+  ASSERT_DOUBLE_EQ(ff, 22.0);
+  ASSERT_DOUBLE_EQ(reach, 12.0);
+  // Whether a sweep drumming `hops` of `ns` from `at` counts a trigger
+  // point on `c` at `pos`: the rule occupied() documents.
+  const auto model_counts = [&](std::uint32_t ns, HopMask hops, Vec2 at,
+                                RfChannel c, Vec2 pos, bool hold) {
+    if (c.ns != ns) return false;
+    const double r = ns != 0 || hold ? ff : reach;
+    if (distance_sq(at, pos) > r * r) return false;
+    return ns != 0 || (hops >> c.index & 1u) != 0;
+  };
   // Removes and returns, in subscription order, the tags of the pending
-  // subscriptions a trigger point at `pos` in `ns` satisfies.
-  const auto model_fire = [&](std::uint32_t ns, Vec2 pos) {
+  // subscriptions a trigger point on `c` at `pos` satisfies.
+  const auto model_fire = [&](RfChannel c, Vec2 pos, bool hold) {
     std::vector<int> tags;
     for (std::size_t i = 0; i < subs.size();) {
-      if (subs[i].ns == ns && distance_sq(subs[i].pos, pos) <= ff * ff) {
-        tags.push_back(subs[i].tag);
+      const Sub& sb = subs[i];
+      if (model_counts(sb.ns, sb.hops, sb.pos, c, pos, hold)) {
+        tags.push_back(sb.tag);
         subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
+        ++model_fired;
+        continue;
       }
+      if (sb.ns == c.ns && distance_sq(sb.pos, pos) <= ff * ff) {
+        ++((sb.hops >> c.index & 1u) == 0 ? kept_by_hop : kept_by_radius);
+      }
+      ++i;
     }
     return tags;
   };
@@ -871,9 +1000,9 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
         ops.uniform(3) == 0 ? ListenKind::kPassive : ListenKind::kTriggering;
     const bool stops = ops.uniform(8) == 0;
     const std::uint64_t seq = next_seq++;
-    const std::vector<int> want_fired = kind == ListenKind::kTriggering
-                                            ? model_fire(c.ns, d->pos)
-                                            : std::vector<int>{};
+    const std::vector<int> want_fired =
+        kind == ListenKind::kTriggering ? model_fire(c, d->pos, false)
+                                        : std::vector<int>{};
     fired.clear();
     const ListenId id = ch.start_listen(
         d, c,
@@ -892,16 +1021,16 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
     ASSERT_EQ(fired, want_fired);
   };
 
-  const auto model_occupied = [&](std::uint32_t ns, Vec2 pos) {
+  const auto model_occupied = [&](std::uint32_t ns, HopMask hops, Vec2 pos) {
     for (const Live& l : live) {
-      if (l.ch.ns == ns && l.kind == ListenKind::kTriggering &&
-          distance_sq(l.dev->pos, pos) <= ff * ff) {
+      if (l.kind == ListenKind::kTriggering &&
+          model_counts(ns, hops, pos, l.ch, l.dev->pos, false)) {
         return true;
       }
     }
     for (const Hold& h : holds) {
-      if (h.ns == ns && h.until > sim.now() &&
-          distance_sq(h.pos, pos) <= ff * ff) {
+      if (h.until > sim.now() &&
+          model_counts(ns, hops, pos, h.ch, h.pos, true)) {
         return true;
       }
     }
@@ -919,7 +1048,7 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
       if (sb.ns == ns) return true;
     }
     for (const Hold& h : holds) {
-      if (h.ns == ns && h.until > sim.now()) return true;
+      if (h.ch.ns == ns && h.until > sim.now()) return true;
     }
     return false;
   };
@@ -932,10 +1061,13 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
       ASSERT_EQ(ch.listen_count(d.get()), n) << "step " << step;
     }
     for (const std::uint32_t ns : {0u, 9u, 13u}) {
-      for (const double x : {0.0, 25.0, 50.0, 100.0}) {
-        const Vec2 p{x, 1.0};
-        ASSERT_EQ(ch.occupied(ns, p), model_occupied(ns, p))
-            << "step " << step << " ns " << ns << " x " << x;
+      for (const HopMask hops : kMasks) {
+        for (const double x : {0.0, 12.5, 25.0, 37.5, 50.0, 100.0}) {
+          const Vec2 p{x, 1.0};
+          ASSERT_EQ(ch.occupied(ns, hops, p), model_occupied(ns, hops, p))
+              << "step " << step << " ns " << ns << " hops " << hops
+              << " x " << x;
+        }
       }
     }
     ASSERT_EQ(ch.live_subscriptions(), subs.size()) << "step " << step;
@@ -990,18 +1122,19 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
       const SimTime until =
           sim.now() + Duration::micros(1 + static_cast<std::int64_t>(
                                                ops.uniform(3000)));
-      const std::vector<int> want_fired = model_fire(c.ns, pos);
+      const std::vector<int> want_fired = model_fire(c, pos, true);
       fired.clear();
       ch.occupancy_hold(c, pos, until);
-      holds.push_back(Hold{c.ns, pos, until});
+      holds.push_back(Hold{c, pos, until});
       ASSERT_EQ(fired, want_fired) << "step " << step;
     } else if (r < 79) {
       const std::uint32_t ns = pick_channel().ns;
       const Vec2 pos{static_cast<double>(ops.uniform(60)), 0.0};
       const int tag = static_cast<int>(all_subs.size());
+      const HopMask hops = kMasks[all_subs.size() % std::size(kMasks)];
       const OccupancySubId id = ch.subscribe_occupancy(
-          ns, pos, [&fired, tag](SimTime) { fired.push_back(tag); });
-      subs.push_back(Sub{id, ns, pos, tag});
+          ns, hops, pos, [&fired, tag](SimTime) { fired.push_back(tag); });
+      subs.push_back(Sub{id, ns, hops, pos, tag});
       all_subs.push_back(subs.back());
     } else if (r < 84) {
       if (!all_subs.empty()) {
@@ -1055,6 +1188,9 @@ TEST_F(RadioTest, RandomListenChurnMatchesModel) {
   EXPECT_GT(sparse_releases, 20u);  // namespace 13's block came and went
   EXPECT_GT(cancels, 20u);
   EXPECT_GT(all_subs.size() - cancels, 50u);  // fired, not cancelled
+  EXPECT_GT(model_fired, 50u);
+  EXPECT_GT(kept_by_hop, 20u);     // the hop mask kept a master parked
+  EXPECT_GT(kept_by_radius, 20u);  // so did the listen radius
 }
 
 }  // namespace
@@ -1194,11 +1330,13 @@ TEST_F(RadioTest, RangeIncreaseFiresEveryLiveSubscriptionOnceInOrder) {
   int tag = 0;
   for (std::uint32_t ns = 0; ns < 200; ++ns) {
     const int a = tag++, b = tag++, c = tag++, d = tag++, e = tag++;
-    ch.subscribe_occupancy(ns, near, record(a));
-    const OccupancySubId cancel_b = ch.subscribe_occupancy(ns, near, record(b));
-    ch.subscribe_occupancy(ns, far, record(c));
-    const OccupancySubId cancel_d = ch.subscribe_occupancy(ns, far, record(d));
-    ch.subscribe_occupancy(ns, near, record(e));
+    ch.subscribe_occupancy(ns, kAllHops, near, record(a));
+    const OccupancySubId cancel_b =
+        ch.subscribe_occupancy(ns, kAllHops, near, record(b));
+    ch.subscribe_occupancy(ns, kAllHops, far, record(c));
+    const OccupancySubId cancel_d =
+        ch.subscribe_occupancy(ns, kAllHops, far, record(d));
+    ch.subscribe_occupancy(ns, kAllHops, near, record(e));
     ch.unsubscribe_occupancy(ns, cancel_b);
     ch.unsubscribe_occupancy(ns, cancel_d);
     ch.unsubscribe_occupancy(ns, cancel_d);  // already gone: a no-op
